@@ -97,6 +97,14 @@ _SCHEMA = {
 }
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _is_number_list(val) -> bool:
+    return isinstance(val, list) and all(map(_is_number, val))
+
+
 def _check_keys(node, schema, where: str) -> None:
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -107,15 +115,43 @@ def _check_keys(node, schema, where: str) -> None:
         if isinstance(sub, dict):
             _check_keys(val, sub, f"{where}.{key}")
         elif sub is float:
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
+            if not _is_number(val):
                 raise ConfigError(f"{where}.{key}: expected a number")
         elif not isinstance(val, sub) or isinstance(val, bool):
             raise ConfigError(f"{where}.{key}: expected {sub.__name__}")
 
 
+def _check_classes(classes: list) -> None:
+    """Inline mixture structure; make_spec checks the numbers themselves."""
+    if not classes:
+        raise ConfigError("config.data.classes: expected a nonempty list")
+    for i, c in enumerate(classes):
+        where = f"config.data.classes[{i}]"
+        if not isinstance(c, dict) or set(c) != {"prior", "components"}:
+            raise ConfigError(f"{where}: expected an object with exactly prior and components")
+        if not _is_number(c["prior"]) or not isinstance(c["components"], list) or not c["components"]:
+            raise ConfigError(f"{where}: expected a numeric prior and a nonempty components list")
+        for j, k in enumerate(c["components"]):
+            if not isinstance(k, dict) or set(k) != {"weight", "mean", "cov"}:
+                raise ConfigError(f"{where}.components[{j}]: expected an object with exactly weight, mean and cov")
+            cov = k["cov"]
+            cov_ok = _is_number(cov) or _is_number_list(cov) or (
+                isinstance(cov, list) and all(map(_is_number_list, cov))
+            )
+            if not (_is_number(k["weight"]) and _is_number_list(k["mean"]) and cov_ok):
+                raise ConfigError(
+                    f"{where}.components[{j}]: weight must be a number, mean a list of numbers, "
+                    "cov a number, a list of numbers or a matrix of numbers"
+                )
+
+
+_PRESETS = {"two_class": two_class_benchmark, "three_class": three_class_benchmark}
+
+
 def validate_config(raw: dict) -> dict:
     """Fail-closed validation: unknown fields are rejected, defaults fill
-    omitted ones."""
+    omitted ones, and values the pipeline would index or build with are
+    checked before any work starts."""
     _check_keys(raw, _SCHEMA, "config")
     cfg = default_config()
     for section, val in raw.items():
@@ -129,6 +165,22 @@ def validate_config(raw: dict) -> dict:
             cfg[section] = val
     if "stabilizer" in raw.get("guidance", {}):
         cfg["guidance"]["stabilizer"] = copy.deepcopy(raw["guidance"]["stabilizer"])
+    data = cfg["data"]
+    if "classes" in data:
+        _check_classes(data["classes"])
+        n_classes = len(data["classes"])
+    else:
+        preset = data.get("preset", "two_class")
+        if preset not in _PRESETS:
+            raise ConfigError(f"unknown data preset {preset!r}")
+        n_classes = _PRESETS[preset]().n_classes
+    target = cfg["guidance"]["target_class"]
+    if not 0 <= target < n_classes:
+        raise ConfigError(f"config.guidance.target_class: {target} outside [0, {n_classes})")
+    if not all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in cfg["train"]["hidden"]):
+        raise ConfigError("config.train.hidden: expected a list of positive integers")
+    if not all(map(_is_number, cfg["sweep"]["scales"])):
+        raise ConfigError("config.sweep.scales: expected a list of numbers")
     return cfg
 
 
@@ -168,12 +220,7 @@ def build_spec(cfg: dict) -> GmmSpec:
             for c in data["classes"]
         ]
         return make_spec(classes)
-    preset = data.get("preset", "two_class")
-    if preset == "two_class":
-        return two_class_benchmark()
-    if preset == "three_class":
-        return three_class_benchmark()
-    raise ConfigError(f"unknown data preset {preset!r}")
+    return _PRESETS[data.get("preset", "two_class")]()
 
 
 def build_schedule(cfg: dict):

@@ -26,6 +26,21 @@ from .synthdata import GmmSpec, pooled_components
 _EIG_FLOOR = 1e-12
 
 
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of a over axis, adding the terms one at a time in index order
+    (numpy's reductions and einsum may pair or reorder them)."""
+    terms = np.moveaxis(a, axis, 0)
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _contract(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[o, k, n] = sum_j coef[j, o, k] v[j, k, n], for coef (j, o, K, 1)."""
+    return _ordered_sum(coef * v[:, None], axis=0)
+
+
 class AnalyticDenoiser:
     """Closed-form posterior-mean denoiser for a pooled Gaussian mixture.
 
@@ -45,31 +60,32 @@ class AnalyticDenoiser:
         self.cov_eigvals = np.maximum(vals, _EIG_FLOOR)  # (K, d)
         self.cov_eigvecs = vecs  # (K, d, d), columns are eigenvectors
         self.dim = means.shape[1]
+        # The posterior pass works on (coordinate, component, row) arrays, so
+        # every elementwise operation runs along the batch. Tables below are
+        # laid out to match: coefficient arrays end in (K, 1), and the per-step
+        # ones have one row per t = 0..T, row 0 being clean data (ab = 1).
+        self._log_weights = np.log(weights)[:, None]
+        self._means = means.T[:, :, None]  # (d, K, 1)
+        self._to_eigen = vecs.transpose(1, 2, 0)[..., None]  # [i, e, k] = V_k[i, e]
+        self._from_eigen = vecs.transpose(2, 1, 0)[..., None]  # [e, i, k] = V_k[i, e]
+        ab = np.concatenate(([1.0], schedule.alpha_bars))[:, None, None]
+        sa = np.sqrt(ab)
+        marg = ab * self.cov_eigvals + (1.0 - ab)  # (T+1, K, d) marginal eigvals
+        shrink = self.cov_eigvals / marg  # lambda / marg
+        # A_k = sqrt(ab) Sigma_k S_k^{-1}, the responsibility-weighted part of the Jacobian
+        A = sa[..., None] * np.einsum("tkde,kfe->tkdf", vecs * shrink[:, :, None, :], vecs)
+
+        def per_step(table):  # (T+1, K, ...) -> (T+1, ..., K, 1)
+            return np.ascontiguousarray(np.moveaxis(table, 1, -1)[..., None])
+
+        self._sqrt_ab = sa[:, 0, 0]
+        self._marg = per_step(marg)
+        self._log_norm = np.sum(np.log(2.0 * np.pi * marg), axis=2)[..., None]  # (T+1, K, 1)
+        self._shifted_means = per_step(sa * means)  # sqrt(ab) mu_k
+        self._shrink = per_step(shrink)
+        self._A = per_step(A)
 
     # -- internal -----------------------------------------------------------
-
-    def _stats(self, X: np.ndarray, t: int):
-        """Responsibilities, per-component posterior means, and log-density
-        pulls at (X, t); everything downstream is assembled from these."""
-        ab = self.schedule.alpha_bar(t)
-        sa = np.sqrt(ab)
-        marg = ab * self.cov_eigvals + (1.0 - ab)  # (K, d) marginal eigvals
-        diff = X[:, None, :] - sa * self.means[None, :, :]  # (n, K, d)
-        proj = np.einsum("kde,nkd->nke", self.cov_eigvecs, diff)
-        quad = np.sum(proj * proj / marg[None], axis=2)
-        log_r = (
-            np.log(self.weights)[None]
-            - 0.5 * (quad + np.sum(np.log(2.0 * np.pi * marg), axis=1)[None])
-        )
-        m = np.max(log_r, axis=1, keepdims=True)
-        r = np.exp(log_r - m)
-        r /= r.sum(axis=1, keepdims=True)  # (n, K)
-        # component posterior means mu_k + sa * Sigma_k S_k^{-1} diff
-        pull = np.einsum("kde,nke->nkd", self.cov_eigvecs, proj * (self.cov_eigvals / marg)[None])
-        comp_mean = self.means[None] + sa * pull  # (n, K, d)
-        # gradient of each component's log marginal density: -S_k^{-1} diff
-        dens_grad = -np.einsum("kde,nke->nkd", self.cov_eigvecs, proj / marg[None])
-        return ab, sa, marg, r, comp_mean, dens_grad
 
     @staticmethod
     def _as_batch(x):
@@ -77,19 +93,34 @@ class AnalyticDenoiser:
         return (x[None, :], True) if x.ndim == 1 else (x, False)
 
     def _bundle(self, X: np.ndarray, t: int, with_jacobian: bool = False):
-        """Posterior mean and (optionally) its Jacobian from one stats pass;
-        the shared path keeps the sampler from recomputing responsibilities."""
-        _, sa, marg, r, comp_mean, dens_grad = self._stats(X, t)
-        E = np.einsum("nk,nkd->nd", r, comp_mean)
+        """Posterior mean E[x0 | X] (n, d) and, optionally, its Jacobian
+        (n, d, d), at step t from one pass; t = 0 is clean data.
+
+        Contractions are broadcast products summed term by term in index
+        order, so a row's result does not depend on the rest of the batch.
+        """
+        if not 0 <= t <= self.schedule.T:
+            raise ValueError(f"step index t={t} outside [0, {self.schedule.T}]")
+        marg = self._marg[t]
+        diff = X.T[:, None, :] - self._shifted_means[t]  # (d, K, n)
+        proj = _contract(self._to_eigen, diff)  # V_k^T diff
+        quad = _ordered_sum(proj * proj / marg, axis=0)
+        log_r = self._log_weights - 0.5 * (quad + self._log_norm[t])
+        r = np.exp(log_r - np.max(log_r, axis=0))
+        r /= _ordered_sum(r, axis=0)  # (K, n) responsibilities
+        # component posterior means mu_k + sa * Sigma_k S_k^{-1} diff
+        comp_mean = self._means + self._sqrt_ab[t] * _contract(self._from_eigen, proj * self._shrink[t])
+        weighted = r * comp_mean
+        E = _ordered_sum(weighted, axis=1)  # (d, n)
         if not with_jacobian:
-            return E, None
-        scaled = self.cov_eigvecs * (self.cov_eigvals / marg)[:, None, :]
-        A = sa * np.einsum("kde,kfe->kdf", scaled, self.cov_eigvecs)  # (K, d, d)
-        J = np.einsum("nk,kdf->ndf", r, A)
-        J += np.einsum("nk,nkd,nkf->ndf", r, comp_mean, dens_grad)
-        gbar = np.einsum("nk,nkd->nd", r, dens_grad)
-        J -= E[:, :, None] * gbar[:, None, :]
-        return E, J
+            return np.ascontiguousarray(E.T), None
+        # gradient of each component's log marginal density: -S_k^{-1} diff
+        dens_grad = -_contract(self._from_eigen, proj / marg)
+        J = _ordered_sum(self._A[t] * r, axis=2)  # (d, d, n)
+        J += _ordered_sum(weighted[:, None] * dens_grad[None], axis=2)
+        gbar = _ordered_sum(r * dens_grad, axis=1)
+        J -= E[:, None] * gbar[None]
+        return np.ascontiguousarray(E.T), np.ascontiguousarray(J.transpose(2, 0, 1))
 
     # -- public -------------------------------------------------------------
 
@@ -155,19 +186,28 @@ def guided_log_prob_gradient(
 
     path "raw" differentiates the classifier objective directly at x_t;
     "x0pred" evaluates it at the denoised estimate and pulls the gradient
-    back through the denoiser Jacobian (or the stop-gradient rescaling).
+    back through the denoiser Jacobian (or the stop-gradient rescaling),
+    both from one posterior pass.
     """
     if path not in ("raw", "x0pred"):
         raise ValueError("path must be 'raw' or 'x0pred'")
     X, single = AnalyticDenoiser._as_batch(x_t)
-    if path == "raw":
-        g = clf.input_gradient(h, X, y, objective)
-    else:
-        x0 = dn.posterior_mean_x0(X, t)
-        v = clf.input_gradient(h, x0, y, objective)
-        if jacobian_mode == "stop_gradient":
-            g = v / np.sqrt(dn.schedule.alpha_bar(t))
-        else:
-            J = dn.x0_jacobian(X, t, mode=jacobian_mode)
-            g = np.einsum("npq,np->nq", J, v)
+    mean_x0 = jac = None
+    if path == "x0pred":
+        if jacobian_mode not in ("full", "stop_gradient"):
+            raise ValueError("mode must be 'full' or 'stop_gradient'")
+        mean_x0, jac = dn._bundle(X, t, with_jacobian=jacobian_mode == "full")
+    g = guidance_gradient(dn, h, X, t, y, mean_x0, jac, path, jacobian_mode, objective)
     return g[0] if single else g
+
+
+def guidance_gradient(dn, h, X, t, y, mean_x0, jac, path, jacobian_mode, objective) -> np.ndarray:
+    """Guidance gradient at the noisy batch X from its already-computed
+    posterior pass (mean_x0, jac), as dn._bundle returns it; "raw" needs
+    neither and "stop_gradient" no Jacobian."""
+    if path == "raw":
+        return clf.input_gradient(h, X, y, objective)
+    v = clf.input_gradient(h, mean_x0, y, objective)
+    if jacobian_mode == "stop_gradient":
+        return v / dn._sqrt_ab[t]
+    return np.einsum("npq,np->nq", jac, v)

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import classifier as clf
 from .classifier import ClassifierHandle
-from .denoiser import AnalyticDenoiser
+from .denoiser import AnalyticDenoiser, guidance_gradient
 from .rng import substream
 from .schedule import Schedule, reverse_coefficients
 
@@ -148,10 +147,6 @@ def reverse_step(dn: AnalyticDenoiser, schedule: Schedule, x_t, t: int, rng) -> 
     """One unguided reverse transition; the final step t = 1 is noiseless."""
     x_t = np.asarray(x_t, dtype=np.float64)
     z = rng.standard_normal(x_t.shape) if t > 1 else np.zeros_like(x_t)
-    return _reverse_step_math(dn, schedule, x_t, t, z)
-
-
-def _reverse_step_math(dn, schedule, x_t, t, z):
     coeff_x, coeff_eps, sigma_sq = reverse_coefficients(schedule, t)
     return coeff_x * x_t - coeff_eps * dn.epsilon(x_t, t) + np.sqrt(sigma_sq) * z
 
@@ -199,11 +194,10 @@ def _run_chains(
             mean_x0, jac = dn._bundle(x, t, with_jacobian=need_j)
             shift = None
             if cfg is not None:
-                if cfg.path == "raw":
-                    g = clf.input_gradient(cfg.classifier, x, cfg.target_class, cfg.objective)
-                else:
-                    v = clf.input_gradient(cfg.classifier, mean_x0, cfg.target_class, cfg.objective)
-                    g = np.einsum("npq,np->nq", jac, v) if need_j else v / sa
+                g = guidance_gradient(
+                    dn, cfg.classifier, x, t, cfg.target_class, mean_x0, jac,
+                    cfg.path, cfg.jacobian_mode, cfg.objective,
+                )
                 state, nu = stabilize(state, cfg.stabilizer, g)
                 shift = cfg.scale * schedule.sigma_sq(t) * nu
             eps_hat = (x - sa * mean_x0) / np.sqrt(1.0 - ab)

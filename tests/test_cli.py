@@ -201,6 +201,24 @@ def test_report_without_sweeps_fails(tmp_path):
     assert _run("--out", str(tmp_path / "void"), "report") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "raw, argv",
+    [
+        ({"data": {"classes": [{"prior": 1}]}}, ["gen-data"]),
+        ({"guidance": {"classifier": "bayes_oracle", "target_class": 5}}, ["sample"]),
+        ({"train": {"hidden": ["a"]}}, ["train", "--persona", "non_robust"]),
+    ],
+    ids=["mixture-without-components", "target-class-out-of-range", "non-integer-hidden-size"],
+)
+def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, **raw}))
+    assert _run("--config", str(path), "--out", str(tmp_path / "run"), *argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 def test_bad_threads_rejected(tmp_path, small_cfg):
     assert _run("--config", small_cfg, "--threads", "0", "--out", str(tmp_path), "gen-data") == EXIT_CONFIG
 

@@ -292,3 +292,103 @@ def test_batch_matches_single(denoiser):
     for i in range(9):
         np.testing.assert_allclose(E[i], denoiser.posterior_mean_x0(X[i], t), atol=1e-15)
         np.testing.assert_allclose(J[i], denoiser.x0_jacobian(X[i], t), atol=1e-15)
+
+
+def _einsum_bundle(dn, X, t, with_jacobian):
+    """The closed form as a literal einsum transcription, one contraction per
+    call: the oracle the table-driven posterior kernel must reproduce."""
+    ab = dn.schedule.alpha_bar(t)
+    sa = np.sqrt(ab)
+    V, lam = dn.cov_eigvecs, dn.cov_eigvals
+    marg = ab * lam + (1.0 - ab)
+    diff = X[:, None, :] - sa * dn.means[None, :, :]
+    proj = np.einsum("kde,nkd->nke", V, diff)
+    quad = np.sum(proj * proj / marg[None], axis=2)
+    log_r = np.log(dn.weights)[None] - 0.5 * (quad + np.sum(np.log(2.0 * np.pi * marg), axis=1)[None])
+    r = np.exp(log_r - np.max(log_r, axis=1, keepdims=True))
+    r /= r.sum(axis=1, keepdims=True)
+    comp_mean = dn.means[None] + sa * np.einsum("kde,nke->nkd", V, proj * (lam / marg)[None])
+    dens_grad = -np.einsum("kde,nke->nkd", V, proj / marg[None])
+    E = np.einsum("nk,nkd->nd", r, comp_mean)
+    if not with_jacobian:
+        return E, None
+    A = sa * np.einsum("kde,kfe->kdf", V * (lam / marg)[:, None, :], V)
+    J = np.einsum("nk,kdf->ndf", r, A)
+    J += np.einsum("nk,nkd,nkf->ndf", r, comp_mean, dens_grad)
+    J -= E[:, :, None] * np.einsum("nk,nkd->nd", r, dens_grad)[:, None, :]
+    return E, J
+
+
+def _spec3():
+    # full covariances in d = 3, K = 3 pooled components
+    cov_a = np.array([[0.30, 0.12, -0.05], [0.12, 0.20, 0.04], [-0.05, 0.04, 0.15]])
+    cov_b = np.array([[0.10, -0.03, 0.02], [-0.03, 0.25, 0.06], [0.02, 0.06, 0.40]])
+    cov_c = np.array([[0.50, 0.10, 0.00], [0.10, 0.08, -0.02], [0.00, -0.02, 0.12]])
+    return make_spec(
+        [
+            (0.45, [(0.6, [-0.8, 0.3, 0.5], cov_a), (0.4, [0.9, -0.2, -0.4], cov_b)]),
+            (0.55, [(1.0, [0.1, 0.9, -0.7], cov_c)]),
+        ]
+    )
+
+
+_REFERENCE_STEPS = (0, 1, 2, 200, 400)  # clean data, the first steps, T/2 and T
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_bundle_bitwise_equals_einsum_reference(denoiser, with_jacobian):
+    rng = np.random.default_rng(31)
+    for n in (1, 3, 250):
+        X = rng.standard_normal((n, 2)) * 1.5
+        for t in _REFERENCE_STEPS:
+            E, J = denoiser._bundle(X, t, with_jacobian)
+            E_ref, J_ref = _einsum_bundle(denoiser, X, t, with_jacobian)
+            assert np.array_equal(E, E_ref), (n, t)
+            if with_jacobian:
+                assert np.array_equal(J, J_ref), (n, t)
+            else:
+                assert J is None
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_bundle_full_covariance_3d_against_einsum_reference(schedule400, with_jacobian):
+    # einsum's SIMD reduction may add three terms as (e0 + e2) + e1 where the
+    # kernel adds them in index order, so here the reference holds to a
+    # rounding tolerance (measured: 1.4e-14, 64 eps, at most); each row is
+    # still bitwise independent of the rest of its batch
+    tol = 512 * np.finfo(np.float64).eps
+    dn = AnalyticDenoiser(_spec3(), schedule400)
+    rng = np.random.default_rng(32)
+    for n in (1, 3, 250):
+        X = rng.standard_normal((n, 3)) * 1.5
+        for t in _REFERENCE_STEPS:
+            E, J = dn._bundle(X, t, with_jacobian)
+            E_ref, J_ref = _einsum_bundle(dn, X, t, with_jacobian)
+            np.testing.assert_allclose(E, E_ref, rtol=0, atol=tol)
+            if with_jacobian:
+                np.testing.assert_allclose(J, J_ref, rtol=0, atol=tol)
+            for i in (0, n - 1):
+                E_i, J_i = dn._bundle(X[i : i + 1], t, with_jacobian)
+                assert np.array_equal(E_i[0], E[i])
+                if with_jacobian:
+                    assert np.array_equal(J_i[0], J[i])
+
+
+def test_bundle_rejects_steps_outside_schedule(denoiser, schedule400):
+    X = np.zeros((3, 2))
+    for t in (-1, schedule400.T + 1):
+        with pytest.raises(ValueError):
+            denoiser._bundle(X, t)
+        with pytest.raises(ValueError):
+            denoiser._bundle(X, t, with_jacobian=True)
+
+
+def test_guided_gradient_is_jacobian_pullback_bitwise(denoiser, h_nonrobust):
+    # one posterior pass gives the same bits as the mean and Jacobian
+    # computed by separate passes and contracted with the classifier gradient
+    X = np.random.default_rng(33).standard_normal((40, 2)) * 1.3
+    for t in (1, 57, 400):
+        v = dg.classifier.input_gradient(h_nonrobust, denoiser.posterior_mean_x0(X, t), 1)
+        want = np.einsum("npq,np->nq", denoiser.x0_jacobian(X, t), v)
+        got = guided_log_prob_gradient(denoiser, h_nonrobust, X, t, 1, path="x0pred")
+        assert np.array_equal(got, want), t

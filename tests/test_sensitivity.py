@@ -226,3 +226,28 @@ def test_curve_csv_round_trip(tmp_path, h_nonrobust, small_denoiser, val_ds):
     first = lines[2].split(",")
     assert int(first[0]) == 2
     assert float(first[1]) == pytest.approx(c.mean[0], rel=1e-16)
+
+
+def test_x0pred_gradient_curve_runs_one_posterior_pass_per_gradient(
+    h_nonrobust, small_denoiser, val_ds, monkeypatch
+):
+    from diffguide import classifier
+
+    calls = {"posterior": 0, "gradient": 0}
+    bundle, input_gradient = AnalyticDenoiser._bundle, classifier.input_gradient
+
+    def counted_bundle(self, X, t, with_jacobian=False):
+        calls["posterior"] += 1
+        return bundle(self, X, t, with_jacobian)
+
+    def counted_gradient(*args, **kwargs):
+        calls["gradient"] += 1
+        return input_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(AnalyticDenoiser, "_bundle", counted_bundle)
+    monkeypatch.setattr(classifier, "input_gradient", counted_gradient)
+    dg.sensitivity.curve(
+        h_nonrobust, small_denoiser, val_ds.points[:20], val_ds.labels[:20], "gradient", path="x0pred"
+    )
+    assert calls["gradient"] == small_denoiser.schedule.T  # one gradient per step
+    assert calls["posterior"] == calls["gradient"]
