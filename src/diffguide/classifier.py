@@ -7,12 +7,13 @@ posterior). The oracle is the unbiased judge for generated samples; the
 trained personas are the guidance subjects.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .synthdata import GmmSpec, log_class_density
+from .synthdata import ComponentTables, GmmSpec, _ordered_sum, as_batch
 from .schedule import Schedule
 
 _KINDS = ("non_robust", "robust", "bayes_oracle")
@@ -27,6 +28,11 @@ class ClassifierHandle:
     @property
     def n_classes(self) -> int:
         return self.spec.n_classes if self.kind == "bayes_oracle" else self.model.n_classes
+
+    @functools.cached_property
+    def _oracle_tables(self) -> ComponentTables:
+        """The oracle's clean-data (ab = 1) component tables, built on first use."""
+        return ComponentTables(self.spec, [1.0])
 
 
 def non_robust(model: nn.MlpModel) -> ClassifierHandle:
@@ -45,60 +51,48 @@ def predict_logits(h: ClassifierHandle, x) -> np.ndarray:
     """Class logits at x; oracle logits are log(prior * class density)."""
     if h.kind not in _KINDS:
         raise ValueError(f"unknown classifier kind {h.kind!r}")
-    if h.kind == "bayes_oracle":
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        cols = [
-            np.log(cls.prior) + log_class_density(h.spec, y, X)
-            for y, cls in enumerate(h.spec.classes)
-        ]
-        logits = np.stack(cols, axis=1)
-        return logits[0] if single else logits
-    return nn.forward(h.model, x)
+    if h.kind != "bayes_oracle":
+        return nn.forward(h.model, x)
+    X, single = as_batch(x)
+    logits = np.ascontiguousarray(_oracle_pass(h, X)[0].T)
+    return logits[0] if single else logits
 
 
 def input_gradient(h: ClassifierHandle, x, y, objective: str = "log_softmax") -> np.ndarray:
     """Gradient of the class-y objective w.r.t. the input, for any persona."""
     if h.kind != "bayes_oracle":
         return nn.input_gradient(h.model, x, y, objective)
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+    X, single = as_batch(x)
     n = len(X)
     ys = np.full(n, y, dtype=np.int64) if np.ndim(y) == 0 else np.asarray(y, dtype=np.int64)
-    grads = np.stack(
-        [_class_logdensity_gradient(h.spec, c, X) for c in range(h.spec.n_classes)], axis=1
-    )  # (n, D, d): gradient of each class logit (priors are constants)
-    grad_y = grads[np.arange(n), ys]
-    if objective == "logit":
-        out = grad_y
-    else:
-        logits = predict_logits(h, X)
-        p = np.exp(nn.log_softmax(logits))
-        out = grad_y - np.einsum("nc,ncd->nd", p, grads)
+    logits, grads = _oracle_pass(h, X)  # (C, n), (C, d, n)
+    out = grads[ys, :, np.arange(n)]  # gradient of the class-y logit, (n, d)
+    if objective != "logit":
+        e = np.exp(logits - np.max(logits, axis=0))
+        p = e / _ordered_sum(e, axis=0)  # (C, n) class posteriors
+        out = np.ascontiguousarray(out - _ordered_sum(p[:, None] * grads, axis=0).T)
     return out[0] if single else out
 
 
-def _class_logdensity_gradient(spec: GmmSpec, y: int, X: np.ndarray) -> np.ndarray:
-    """d/dx log sum_k w_k N(x; mu_k, Sigma_k): responsibility-weighted pulls."""
-    comps = spec.classes[y].components
-    logs, pulls = [], []
-    for c in comps:
-        vals, vecs = np.linalg.eigh(c.cov)
-        diff = X - c.mean
-        proj = diff @ vecs
-        quad = np.sum(proj * proj / vals, axis=1)
-        logs.append(
-            np.log(c.weight)
-            - 0.5 * (quad + np.sum(np.log(vals)) + len(c.mean) * np.log(2.0 * np.pi))
-        )
-        pulls.append(-(proj / vals) @ vecs.T)
-    logs = np.stack(logs, axis=1)
-    m = np.max(logs, axis=1, keepdims=True)
-    resp = np.exp(logs - m)
-    resp /= resp.sum(axis=1, keepdims=True)
-    return np.einsum("nk,nkd->nd", resp, np.stack(pulls, axis=1))
+def _oracle_pass(h: ClassifierHandle, X: np.ndarray):
+    """Oracle logits (C, n) and logit gradients (C, d, n) from one pass over
+    the pooled components at clean data. Class c's logit is the log-sum-exp,
+    shifted by its own max so that far points do not underflow, of its
+    components' log joints log(prior_c w_k N(x; mu_k, Sigma_k)); its gradient
+    is their responsibility-weighted sum of component scores."""
+    tb = h._oracle_tables
+    proj, log_joint = tb.log_joint(X, 0)  # (d, K, n), (K, n)
+    score = tb.score(proj, 0)
+    logits, grads, lo = [], [], 0
+    for cls in h.spec.classes:
+        hi = lo + len(cls.components)
+        m = np.max(log_joint[lo:hi], axis=0)
+        e = np.exp(log_joint[lo:hi] - m)
+        total = _ordered_sum(e, axis=0)
+        logits.append(m + np.log(total))
+        grads.append(_ordered_sum(e / total * score[:, lo:hi], axis=1))
+        lo = hi
+    return np.stack(logits), np.stack(grads)
 
 
 def accuracy(

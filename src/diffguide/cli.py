@@ -532,13 +532,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="experiment config JSON (defaults built in)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap; the current implementation is single-threaded and "
-        "bitwise reproducible at any value",
-    )
     parser.add_argument("--format", choices=["csv", "json"], default="csv", help="report output format")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen-data", help="write train/val datasets as CSV")
@@ -553,9 +546,6 @@ def main(argv=None) -> int:
     sub.add_parser("report", help="consolidate sweeps, flag the best setup")
 
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

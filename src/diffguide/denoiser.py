@@ -21,24 +21,7 @@ import numpy as np
 
 from . import classifier as clf
 from .schedule import Schedule
-from .synthdata import GmmSpec, pooled_components
-
-_EIG_FLOOR = 1e-12
-
-
-def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum of a over axis, adding the terms one at a time in index order
-    (numpy's reductions and einsum may pair or reorder them)."""
-    terms = np.moveaxis(a, axis, 0)
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
-    return total
-
-
-def _contract(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out[o, k, n] = sum_j coef[j, o, k] v[j, k, n], for coef (j, o, K, 1)."""
-    return _ordered_sum(coef * v[:, None], axis=0)
+from .synthdata import ComponentTables, GmmSpec, _contract, _ordered_sum, as_batch
 
 
 class AnalyticDenoiser:
@@ -51,72 +34,33 @@ class AnalyticDenoiser:
     def __init__(self, spec: GmmSpec, schedule: Schedule):
         self.spec = spec
         self.schedule = schedule
-        weights, means, covs = pooled_components(spec)
-        if abs(weights.sum() - 1.0) > 1e-12:
+        # one table row per t = 0..T, row 0 being clean data (ab = 1)
+        self.tables = tb = ComponentTables(spec, np.concatenate(([1.0], schedule.alpha_bars)))
+        if abs(tb.weights.sum() - 1.0) > 1e-12:
             raise ValueError("pooled component weights must sum to 1")
-        self.weights = weights
-        self.means = means
-        vals, vecs = np.linalg.eigh(covs)
-        self.cov_eigvals = np.maximum(vals, _EIG_FLOOR)  # (K, d)
-        self.cov_eigvecs = vecs  # (K, d, d), columns are eigenvectors
-        self.dim = means.shape[1]
-        # The posterior pass works on (coordinate, component, row) arrays, so
-        # every elementwise operation runs along the batch. Tables below are
-        # laid out to match: coefficient arrays end in (K, 1), and the per-step
-        # ones have one row per t = 0..T, row 0 being clean data (ab = 1).
-        self._log_weights = np.log(weights)[:, None]
-        self._means = means.T[:, :, None]  # (d, K, 1)
-        self._to_eigen = vecs.transpose(1, 2, 0)[..., None]  # [i, e, k] = V_k[i, e]
-        self._from_eigen = vecs.transpose(2, 1, 0)[..., None]  # [e, i, k] = V_k[i, e]
-        ab = np.concatenate(([1.0], schedule.alpha_bars))[:, None, None]
-        sa = np.sqrt(ab)
-        marg = ab * self.cov_eigvals + (1.0 - ab)  # (T+1, K, d) marginal eigvals
-        shrink = self.cov_eigvals / marg  # lambda / marg
-        # A_k = sqrt(ab) Sigma_k S_k^{-1}, the responsibility-weighted part of the Jacobian
-        A = sa[..., None] * np.einsum("tkde,kfe->tkdf", vecs * shrink[:, :, None, :], vecs)
-
-        def per_step(table):  # (T+1, K, ...) -> (T+1, ..., K, 1)
-            return np.ascontiguousarray(np.moveaxis(table, 1, -1)[..., None])
-
-        self._sqrt_ab = sa[:, 0, 0]
-        self._marg = per_step(marg)
-        self._log_norm = np.sum(np.log(2.0 * np.pi * marg), axis=2)[..., None]  # (T+1, K, 1)
-        self._shifted_means = per_step(sa * means)  # sqrt(ab) mu_k
-        self._shrink = per_step(shrink)
-        self._A = per_step(A)
+        self.dim = tb.means.shape[1]
 
     # -- internal -----------------------------------------------------------
 
-    @staticmethod
-    def _as_batch(x):
-        x = np.asarray(x, dtype=np.float64)
-        return (x[None, :], True) if x.ndim == 1 else (x, False)
-
     def _bundle(self, X: np.ndarray, t: int, with_jacobian: bool = False):
         """Posterior mean E[x0 | X] (n, d) and, optionally, its Jacobian
-        (n, d, d), at step t from one pass; t = 0 is clean data.
-
-        Contractions are broadcast products summed term by term in index
-        order, so a row's result does not depend on the rest of the batch.
-        """
+        (n, d, d), at step t from one pass over the tables; t = 0 is clean
+        data. A row's result does not depend on the rest of the batch."""
         if not 0 <= t <= self.schedule.T:
             raise ValueError(f"step index t={t} outside [0, {self.schedule.T}]")
-        marg = self._marg[t]
-        diff = X.T[:, None, :] - self._shifted_means[t]  # (d, K, n)
-        proj = _contract(self._to_eigen, diff)  # V_k^T diff
-        quad = _ordered_sum(proj * proj / marg, axis=0)
-        log_r = self._log_weights - 0.5 * (quad + self._log_norm[t])
+        tb = self.tables
+        proj, log_r = tb.log_joint(X, t)  # V_k^T diff (d, K, n), log joints (K, n)
         r = np.exp(log_r - np.max(log_r, axis=0))
         r /= _ordered_sum(r, axis=0)  # (K, n) responsibilities
         # component posterior means mu_k + sa * Sigma_k S_k^{-1} diff
-        comp_mean = self._means + self._sqrt_ab[t] * _contract(self._from_eigen, proj * self._shrink[t])
+        comp_mean = tb.column_means + tb.sqrt_ab[t] * _contract(tb.from_eigen, proj * tb.shrink[t])
         weighted = r * comp_mean
         E = _ordered_sum(weighted, axis=1)  # (d, n)
         if not with_jacobian:
             return np.ascontiguousarray(E.T), None
         # gradient of each component's log marginal density: -S_k^{-1} diff
-        dens_grad = -_contract(self._from_eigen, proj / marg)
-        J = _ordered_sum(self._A[t] * r, axis=2)  # (d, d, n)
+        dens_grad = tb.score(proj, t)
+        J = _ordered_sum(tb.A[t] * r, axis=2)  # (d, d, n)
         J += _ordered_sum(weighted[:, None] * dens_grad[None], axis=2)
         gbar = _ordered_sum(r * dens_grad, axis=1)
         J -= E[:, None] * gbar[None]
@@ -126,7 +70,7 @@ class AnalyticDenoiser:
 
     def posterior_mean_x0(self, x_t, t: int) -> np.ndarray:
         """E[x0 | x_t] under the pooled mixture."""
-        X, single = self._as_batch(x_t)
+        X, single = as_batch(x_t)
         out, _ = self._bundle(X, t)
         return out[0] if single else out
 
@@ -135,7 +79,7 @@ class AnalyticDenoiser:
         ab = self.schedule.alpha_bar(t)
         if ab >= 1.0:
             raise ValueError(f"alpha_bar({t}) = 1: noise prediction undefined")
-        X, single = self._as_batch(x_t)
+        X, single = as_batch(x_t)
         e = (X - np.sqrt(ab) * self.posterior_mean_x0(X, t)) / np.sqrt(1.0 - ab)
         return e[0] if single else e
 
@@ -148,7 +92,7 @@ class AnalyticDenoiser:
         ab = self.schedule.alpha_bar(t)
         if ab >= 1.0:
             raise ValueError(f"alpha_bar({t}) = 1: prediction undefined")
-        X, single = self._as_batch(x_t)
+        X, single = as_batch(x_t)
         sa = np.sqrt(ab)
         out = X / sa - (np.sqrt(1.0 - ab) / sa) * self.epsilon(X, t)
         return out[0] if single else out
@@ -162,7 +106,7 @@ class AnalyticDenoiser:
         """
         if mode not in ("full", "stop_gradient"):
             raise ValueError("mode must be 'full' or 'stop_gradient'")
-        X, single = self._as_batch(x_t)
+        X, single = as_batch(x_t)
         n = len(X)
         ab = self.schedule.alpha_bar(t)
         if mode == "stop_gradient":
@@ -191,7 +135,7 @@ def guided_log_prob_gradient(
     """
     if path not in ("raw", "x0pred"):
         raise ValueError("path must be 'raw' or 'x0pred'")
-    X, single = AnalyticDenoiser._as_batch(x_t)
+    X, single = as_batch(x_t)
     mean_x0 = jac = None
     if path == "x0pred":
         if jacobian_mode not in ("full", "stop_gradient"):
@@ -209,5 +153,5 @@ def guidance_gradient(dn, h, X, t, y, mean_x0, jac, path, jacobian_mode, objecti
         return clf.input_gradient(h, X, y, objective)
     v = clf.input_gradient(h, mean_x0, y, objective)
     if jacobian_mode == "stop_gradient":
-        return v / dn._sqrt_ab[t]
+        return v / dn.tables.sqrt_ab[t]
     return np.einsum("npq,np->nq", jac, v)

@@ -17,7 +17,7 @@ import numpy as np
 from . import classifier as clf
 from .guidance import GuidanceConfig, sample_batch
 from .rng import substream
-from .synthdata import GmmSpec, sample_class_points
+from .synthdata import GmmSpec, sample_class_points, sample_labeled
 
 _COV_REG = 1e-10
 
@@ -110,7 +110,7 @@ def evaluate(
         raise EmptyBatchError("no surviving samples to evaluate")
     ref_n = int(reference_n) if reference_n is not None else len(X)
     rng = substream(seed, "evaluate-reference")
-    pooled_ref = _sample_pooled(spec, ref_n, rng)
+    pooled_ref, _ = sample_labeled(spec, ref_n, rng)
     class_ref = sample_class_points(spec, target_class, ref_n, rng)
 
     oracle = clf.bayes_oracle(spec)
@@ -125,16 +125,6 @@ def evaluate(
         n_diverged=int(n_diverged),
         config_hash=config_hash,
     )
-
-
-def _sample_pooled(spec: GmmSpec, n: int, rng) -> np.ndarray:
-    labels = rng.choice(spec.n_classes, size=n, p=spec.priors())
-    out = np.empty((n, spec.dim))
-    for y in range(spec.n_classes):
-        mask = labels == y
-        if np.any(mask):
-            out[mask] = sample_class_points(spec, y, int(mask.sum()), rng)
-    return out
 
 
 def sweep(

@@ -1,8 +1,8 @@
 """Labeled Gaussian-mixture data with exactly known densities.
 
 Every class is a mixture of Gaussian components; the full generative law is
-known, so downstream modules can build an exact denoiser and a Bayes-optimal
-reference classifier instead of estimating either.
+known, so the exact denoiser and the Bayes-optimal reference classifier both
+evaluate it through one tabulated component pass (ComponentTables).
 """
 
 import csv
@@ -72,6 +72,8 @@ def make_spec(classes: list[tuple[float, list[tuple[float, list, np.ndarray]]]])
             elif len(mean) != dim:
                 raise ValueError("all component means must share one dimension")
             cov = np.asarray(cov, dtype=np.float64)
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+                raise ValueError("component mean and covariance must be finite")
             if cov.ndim == 0:
                 cov = float(cov) * np.eye(dim)
             elif cov.ndim == 1:
@@ -86,11 +88,11 @@ def make_spec(classes: list[tuple[float, list[tuple[float, list, np.ndarray]]]])
             cov.setflags(write=False)
             frozen_comps.append(Component(float(weight), mean, cov))
         wsum = sum(c.weight for c in frozen_comps)
-        if abs(wsum - 1.0) > _PROB_TOL:
+        if not abs(wsum - 1.0) <= _PROB_TOL:  # NaN fails too
             raise ValueError(f"component weights sum to {wsum}, expected 1")
         built.append(ClassSpec(float(prior), tuple(frozen_comps)))
     psum = sum(c.prior for c in built)
-    if abs(psum - 1.0) > _PROB_TOL:
+    if not abs(psum - 1.0) <= _PROB_TOL:
         raise ValueError(f"class priors sum to {psum}, expected 1")
     return GmmSpec(tuple(built))
 
@@ -125,16 +127,21 @@ def sample_dataset(spec: GmmSpec, n: int, seed: int) -> LabeledDataset:
     """Draw n labeled points; deterministic in seed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    points, labels = sample_labeled(spec, n, np.random.default_rng(seed))
+    points.setflags(write=False)
+    labels.setflags(write=False)
+    return LabeledDataset(points, labels, seed)
+
+
+def sample_labeled(spec: GmmSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n points (n, d) and their labels from the full mixture with rng."""
     labels = rng.choice(spec.n_classes, size=n, p=spec.priors())
     points = np.empty((n, spec.dim))
     for y, cls in enumerate(spec.classes):
         mask = labels == y
         if np.any(mask):
             points[mask] = _sample_class(cls, int(mask.sum()), rng)
-    points.setflags(write=False)
-    labels.setflags(write=False)
-    return LabeledDataset(points, labels, seed)
+    return points, labels
 
 
 def sample_class_points(spec: GmmSpec, y: int, n: int, rng) -> np.ndarray:
@@ -186,6 +193,81 @@ def pooled_components(spec: GmmSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
             mu.append(comp.mean)
             cov.append(comp.cov)
     return np.array(w), np.stack(mu), np.stack(cov)
+
+
+_EIG_FLOOR = 1e-12
+
+
+def as_batch(x) -> tuple[np.ndarray, bool]:
+    """x as an (n, d) float batch, and whether it was a single point (d,)."""
+    x = np.asarray(x, dtype=np.float64)
+    return (x[None, :], True) if x.ndim == 1 else (x, False)
+
+
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of a over axis, adding the terms one at a time in index order
+    (numpy's reductions and einsum may pair or reorder them)."""
+    terms = np.moveaxis(a, axis, 0)
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _contract(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[o, k, n] = sum_j coef[j, o, k] v[j, k, n], for coef (j, o, K, 1)."""
+    return _ordered_sum(coef * v[:, None], axis=0)
+
+
+class ComponentTables:
+    """The pooled components of a spec, eigendecomposed once, and their
+    forward-noised marginals N(sqrt(ab) mu_k, ab Sigma_k + (1 - ab) I)
+    tabulated at each row of alpha_bars (ab = 1 is clean data).
+
+    Passes work on (coordinate, component, row) arrays, with coefficient
+    tables ending in (K, 1), and sum broadcast products term by term in index
+    order, so a row's result does not depend on the rest of the batch.
+    """
+
+    def __init__(self, spec: GmmSpec, alpha_bars):
+        weights, means, covs = pooled_components(spec)
+        self.weights, self.means = weights, means
+        vals, vecs = np.linalg.eigh(covs)
+        self.cov_eigvals = np.maximum(vals, _EIG_FLOOR)  # (K, d)
+        self.cov_eigvecs = vecs  # (K, d, d), columns are eigenvectors
+        self.log_weights = np.log(weights)[:, None]
+        self.column_means = means.T[:, :, None]  # (d, K, 1)
+        self.to_eigen = vecs.transpose(1, 2, 0)[..., None]  # [i, e, k] = V_k[i, e]
+        self.from_eigen = vecs.transpose(2, 1, 0)[..., None]  # [e, i, k] = V_k[i, e]
+        ab = np.asarray(alpha_bars, dtype=np.float64)[:, None, None]
+        sa = np.sqrt(ab)
+        marg = ab * self.cov_eigvals + (1.0 - ab)  # (rows, K, d) marginal eigvals
+        shrink = self.cov_eigvals / marg  # lambda / marg
+        # A_k = sqrt(ab) Sigma_k S_k^{-1}, the responsibility-weighted part of the Jacobian
+        A = sa[..., None] * np.einsum("tkde,kfe->tkdf", vecs * shrink[:, :, None, :], vecs)
+
+        def per_row(table):  # (rows, K, ...) -> (rows, ..., K, 1)
+            return np.ascontiguousarray(np.moveaxis(table, 1, -1)[..., None])
+
+        self.sqrt_ab = sa[:, 0, 0]
+        self.marg = per_row(marg)
+        self.log_norm = np.sum(np.log(2.0 * np.pi * marg), axis=2)[..., None]  # (rows, K, 1)
+        self.shifted_means = per_row(sa * means)  # sqrt(ab) mu_k
+        self.shrink = per_row(shrink)
+        self.A = per_row(A)
+
+    def log_joint(self, X: np.ndarray, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenbasis offsets V_k^T (x - sqrt(ab) mu_k) (d, K, n) and each
+        component's log joint log w_k + log N(x; sqrt(ab) mu_k, S_k) (K, n)."""
+        marg = self.marg[row]
+        diff = X.T[:, None, :] - self.shifted_means[row]  # (d, K, n)
+        proj = _contract(self.to_eigen, diff)
+        quad = _ordered_sum(proj * proj / marg, axis=0)
+        return proj, self.log_weights - 0.5 * (quad + self.log_norm[row])
+
+    def score(self, proj: np.ndarray, row: int) -> np.ndarray:
+        """Each component's log-density gradient -S_k^{-1} (x - sqrt(ab) mu_k), (d, K, n)."""
+        return -_contract(self.from_eigen, proj / self.marg[row])
 
 
 def _log_gaussian(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from diffguide.classifier import accuracy, bayes_oracle, input_gradient, predict_logits
+from diffguide.nn import log_softmax, log_softmax_target
 from diffguide.schedule import schedule_from_betas
-from diffguide.synthdata import make_spec, sample_dataset
+from diffguide.synthdata import (
+    class_density,
+    log_class_density,
+    make_spec,
+    sample_dataset,
+    three_class_benchmark,
+)
 
 from conftest import binomial_3sigma
 
@@ -26,16 +34,47 @@ def test_oracle_argmax_inside_component(spec2, h_oracle):
     assert np.argmax(predict_logits(h_oracle, deep1)) == 1
 
 
-def test_oracle_softmax_is_true_posterior(spec2, h_oracle):
-    # softmax of log-joint logits must reproduce prior * density / evidence
-    from diffguide.nn import log_softmax
-    from diffguide.synthdata import class_density
+def _spec3():
+    """Three classes in 3-D with full covariances, one class with one component."""
+    cov_a = np.array([[0.30, 0.12, -0.05], [0.12, 0.20, 0.04], [-0.05, 0.04, 0.15]])
+    cov_b = np.array([[0.10, -0.03, 0.02], [-0.03, 0.25, 0.06], [0.02, 0.06, 0.40]])
+    cov_c = np.array([[0.50, 0.10, 0.00], [0.10, 0.08, -0.02], [0.00, -0.02, 0.12]])
+    return make_spec(
+        [
+            (0.3, [(0.6, [-0.8, 0.3, 0.5], cov_a), (0.4, [0.9, -0.2, -0.4], cov_b)]),
+            (0.45, [(1.0, [0.1, 0.9, -0.7], cov_c)]),
+            (
+                0.25,
+                [(0.5, [0.4, -0.6, 0.2], cov_b), (0.2, [-0.3, -0.4, 0.8], 0.1), (0.3, [0.0, 0.0, 0.0], [0.2, 0.3, 0.1])],
+            ),
+        ]
+    )
 
-    x = np.array([0.31, -0.44])
-    logits = predict_logits(h_oracle, x)
+
+def _check_true_posterior(spec, x):
+    # softmax of log-joint logits must reproduce prior * density / evidence
+    logits = predict_logits(bayes_oracle(spec), x)
     post = np.exp(log_softmax(logits))
-    joint = np.array([spec2.classes[y].prior * class_density(spec2, y, x) for y in range(2)])
+    joint = np.array([c.prior * class_density(spec, y, x) for y, c in enumerate(spec.classes)])
     np.testing.assert_allclose(post, joint / joint.sum(), rtol=1e-12)
+
+
+def test_oracle_softmax_is_true_posterior(spec2):
+    _check_true_posterior(spec2, np.array([0.31, -0.44]))
+
+
+@pytest.mark.parametrize("x", [[0.31, -0.44, 0.2], [-0.6, 0.5, 0.1], [0.5, -0.3, -0.2]])
+def test_oracle_softmax_is_true_posterior_3class_full_cov(x):
+    _check_true_posterior(_spec3(), np.array(x))
+
+
+def test_oracle_logits_match_scipy_mixture():
+    spec = _spec3()
+    X = np.random.default_rng(8).standard_normal((25, 3)) * 0.8
+    logits = predict_logits(bayes_oracle(spec), X)
+    for y, cls in enumerate(spec.classes):
+        dens = sum(c.weight * np.exp(multivariate_normal.logpdf(X, c.mean, c.cov)) for c in cls.components)
+        np.testing.assert_allclose(logits[:, y] - np.log(cls.prior), np.log(dens), rtol=1e-12)
 
 
 def test_robust_clean_accuracy_close_to_nonrobust(h_nonrobust, h_robust, val_ds):
@@ -110,23 +149,112 @@ def test_accuracy_validates_arguments(h_nonrobust, val_ds):
         accuracy(h_nonrobust, val_ds.points, val_ds.labels, "forward_noise")
 
 
-def test_oracle_input_gradient_matches_finite_differences(spec2, h_oracle):
-    from diffguide.nn import log_softmax_target
+def _check_finite_differences(spec, objective, seed, n=20):
+    h_oracle = bayes_oracle(spec)
+    d, n_classes = spec.dim, spec.n_classes
 
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        x = rng.standard_normal(2) * 1.2
-        y = int(rng.integers(2))
-        g = input_gradient(h_oracle, x, y)
+    def objective_at(x, y):
+        logits = predict_logits(h_oracle, x)
+        return logits[y] if objective == "logit" else log_softmax_target(logits, y)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        x = rng.standard_normal(d) * 1.2
+        y = int(rng.integers(n_classes))
+        g = input_gradient(h_oracle, x, y, objective)
         h = 1e-5
-        g_fd = np.zeros(2)
-        for j in range(2):
-            e = np.zeros(2)
+        g_fd = np.zeros(d)
+        for j in range(d):
+            e = np.zeros(d)
             e[j] = h
-            up = log_softmax_target(predict_logits(h_oracle, x + e), y)
-            dn = log_softmax_target(predict_logits(h_oracle, x - e), y)
-            g_fd[j] = (up - dn) / (2 * h)
+            g_fd[j] = (objective_at(x + e, y) - objective_at(x - e, y)) / (2 * h)
         assert np.linalg.norm(g - g_fd) <= 1e-5 * max(1.0, np.linalg.norm(g_fd))
+
+
+def test_oracle_input_gradient_matches_finite_differences(spec2):
+    _check_finite_differences(spec2, "log_softmax", seed=31)
+
+
+@pytest.mark.parametrize("objective", ["log_softmax", "logit"])
+def test_oracle_input_gradient_matches_finite_differences_3class_full_cov(objective):
+    _check_finite_differences(_spec3(), objective, seed=32)
+
+
+@pytest.mark.parametrize("objective", ["log_softmax", "logit"])
+def test_oracle_finite_far_from_every_component(objective):
+    # at distance 60 and 1e3 every pooled responsibility exp(log joint)
+    # underflows to 0; per-class shifts keep logits and gradients finite
+    for spec in (_spec3(), three_class_benchmark()):
+        h = bayes_oracle(spec)
+        direction = np.ones(spec.dim) / np.sqrt(spec.dim)
+        for dist in (60.0, 1e3):
+            X = np.stack([dist * direction, -dist * direction])
+            assert np.all(np.exp(np.concatenate([log_class_density(spec, y, X) for y in range(spec.n_classes)])) == 0.0)
+            assert np.all(np.isfinite(predict_logits(h, X)))
+            for y in range(spec.n_classes):
+                assert np.all(np.isfinite(input_gradient(h, X, y, objective)))
+
+
+def test_oracle_logit_gradient_for_one_component_class_is_the_score():
+    for spec, y in ((_spec3(), 1), (three_class_benchmark(), 2)):
+        comp = spec.classes[y].components[0]
+        X = np.random.default_rng(9).standard_normal((30, spec.dim)) * 2.0
+        g = input_gradient(bayes_oracle(spec), X, y, "logit")
+        for x, gx in zip(X, g):
+            score = -np.linalg.solve(comp.cov, x - comp.mean)
+            assert np.linalg.norm(gx - score) <= 1e-12 * np.linalg.norm(score)
+
+
+def test_oracle_with_a_component_weight_of_1e_minus_12():
+    spec = make_spec(
+        [
+            (0.5, [(1.0 - 1e-12, [-1.0, 0.0], 0.05), (1e-12, [3.0, 3.0], 0.01)]),
+            (0.5, [(1.0, [1.0, 0.0], 0.05)]),
+        ]
+    )
+    h = bayes_oracle(spec)
+    # at (3, 3) the tiny component outweighs the main one by far
+    X = np.array([[3.0, 3.0], [3.05, 2.9], [-1.0, 0.1], [0.2, -0.3]])
+    logits = predict_logits(h, X)
+    for y, cls in enumerate(spec.classes):
+        np.testing.assert_allclose(logits[:, y], np.log(cls.prior) + log_class_density(spec, y, X), rtol=1e-12)
+    assert np.argmax(logits[0]) == 0
+    _check_finite_differences(spec, "log_softmax", seed=33, n=10)
+    _check_finite_differences(spec, "logit", seed=34, n=10)
+
+
+def test_oracle_floors_a_near_singular_covariance():
+    # an eigenvalue of 1e-13 is floored at _EIG_FLOOR = 1e-12, so the oracle
+    # equals, bit for bit, the one built with the floor value itself
+    def spec_with(thin):
+        return make_spec(
+            [
+                (0.5, [(1.0, [-1.0, 0.0], [thin, 0.05])]),
+                (0.5, [(1.0, [1.0, 0.0], 0.05)]),
+            ]
+        )
+
+    X = np.array([[-1.0, 0.0], [-1.0 + 1e-3, 0.2], [0.3, -0.4]])
+    thin, floored = bayes_oracle(spec_with(1e-13)), bayes_oracle(spec_with(1e-12))
+    np.testing.assert_array_equal(predict_logits(thin, X), predict_logits(floored, X))
+    assert np.all(np.isfinite(predict_logits(thin, X)))
+    for objective in ("log_softmax", "logit"):
+        g = input_gradient(thin, X, 0, objective)
+        np.testing.assert_array_equal(g, input_gradient(floored, X, 0, objective))
+        assert np.all(np.isfinite(g))
+
+
+@pytest.mark.parametrize("objective", ["log_softmax", "logit"])
+def test_oracle_rows_are_shard_invariant(spec2, objective):
+    for spec in (spec2, _spec3()):
+        h = bayes_oracle(spec)
+        X = np.random.default_rng(10).standard_normal((1000, spec.dim)) * 1.5
+        ys = np.arange(1000) % spec.n_classes
+        whole = input_gradient(h, X, ys, objective)
+        shards = np.concatenate([input_gradient(h, X[i : i + 64], ys[i : i + 64], objective) for i in range(0, 1000, 64)])
+        np.testing.assert_array_equal(whole, shards)
+        logit_shards = np.concatenate([predict_logits(h, X[i : i + 64]) for i in range(0, 1000, 64)])
+        np.testing.assert_array_equal(predict_logits(h, X), logit_shards)
 
 
 def test_mlp_handle_gradient_delegates(h_nonrobust, model_nonrobust):

@@ -1,7 +1,12 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diffguide.cli import (
     EXIT_ALL_DIVERGED,
@@ -201,14 +206,27 @@ def test_report_without_sweeps_fails(tmp_path):
     assert _run("--out", str(tmp_path / "void"), "report") == EXIT_CONFIG
 
 
+def _two_class_mixture(prior0, mean0):
+    comps = [[{"weight": 1.0, "mean": mean0, "cov": 0.1}], [{"weight": 1.0, "mean": [1.0, 0.0], "cov": 0.1}]]
+    return {"data": {"classes": [{"prior": p, "components": c} for p, c in zip([prior0, 0.5], comps)]}}
+
+
 @pytest.mark.parametrize(
     "raw, argv",
     [
         ({"data": {"classes": [{"prior": 1}]}}, ["gen-data"]),
         ({"guidance": {"classifier": "bayes_oracle", "target_class": 5}}, ["sample"]),
         ({"train": {"hidden": ["a"]}}, ["train", "--persona", "non_robust"]),
+        (_two_class_mixture(0.5, [float("nan"), 0.0]), ["gen-data"]),
+        ({**_two_class_mixture(float("nan"), [-1.0, 0.0]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
     ],
-    ids=["mixture-without-components", "target-class-out-of-range", "non-integer-hidden-size"],
+    ids=[
+        "mixture-without-components",
+        "target-class-out-of-range",
+        "non-integer-hidden-size",
+        "nan-mean",
+        "nan-prior-oracle-sample",
+    ],
 )
 def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):
     path = tmp_path / "cfg.json"
@@ -217,10 +235,6 @@ def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
-
-
-def test_bad_threads_rejected(tmp_path, small_cfg):
-    assert _run("--config", small_cfg, "--threads", "0", "--out", str(tmp_path), "gen-data") == EXIT_CONFIG
 
 
 def test_report_selects_best(tmp_path, small_cfg):
@@ -237,3 +251,58 @@ def test_report_selects_best(tmp_path, small_cfg):
         assert report["best"]["cfd"] == want["cfd"]
     else:
         assert report["best"] is None
+
+
+# An oracle-guided config small enough that any example runs in milliseconds;
+# its mixture is inline so that leaves inside the spec get replaced too.
+_PROPERTY_BASE = {
+    "seed": 7,
+    "schedule": {"T": 12, "beta_start": 1e-3, "beta_end": 0.1},
+    "data": {
+        "classes": [
+            {"prior": 0.5, "components": [{"weight": 1.0, "mean": [-1.0, 0.0], "cov": 0.05}]},
+            {"prior": 0.5, "components": [{"weight": 1.0, "mean": [1.0, 0.0], "cov": [0.05, 0.08]}]},
+        ],
+        "n_train": 20,
+        "n_val": 20,
+    },
+    "guidance": {"classifier": "bayes_oracle", "path": "raw", "scale": 1.0, "stabilizer": {"kind": "identity"}},
+    "sample": {"n": 20},
+}
+
+
+def _leaf_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else None
+    if items is None:
+        return [prefix]
+    return [p for key, val in items for p in _leaf_paths(val, prefix + (key,))]
+
+
+# sizes stay at most 50, so no example is slow
+_JSON_VALUES = st.integers(-50, 50) | st.floats() | st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.lists(st.tuples(st.sampled_from(_leaf_paths(_PROPERTY_BASE)), _JSON_VALUES), min_size=1, max_size=2))
+def test_any_json_leaf_fails_closed(replacements):
+    raw = copy.deepcopy(_PROPERTY_BASE)
+    for path, value in replacements:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        for command in ("gen-data", "sample"):
+            assert main(["--config", str(cfg), "--out", str(Path(tmp) / "run"), command]) in (0, 1, 2)

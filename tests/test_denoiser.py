@@ -299,15 +299,15 @@ def _einsum_bundle(dn, X, t, with_jacobian):
     call: the oracle the table-driven posterior kernel must reproduce."""
     ab = dn.schedule.alpha_bar(t)
     sa = np.sqrt(ab)
-    V, lam = dn.cov_eigvecs, dn.cov_eigvals
+    V, lam = dn.tables.cov_eigvecs, dn.tables.cov_eigvals
     marg = ab * lam + (1.0 - ab)
-    diff = X[:, None, :] - sa * dn.means[None, :, :]
+    diff = X[:, None, :] - sa * dn.tables.means[None, :, :]
     proj = np.einsum("kde,nkd->nke", V, diff)
     quad = np.sum(proj * proj / marg[None], axis=2)
-    log_r = np.log(dn.weights)[None] - 0.5 * (quad + np.sum(np.log(2.0 * np.pi * marg), axis=1)[None])
+    log_r = np.log(dn.tables.weights)[None] - 0.5 * (quad + np.sum(np.log(2.0 * np.pi * marg), axis=1)[None])
     r = np.exp(log_r - np.max(log_r, axis=1, keepdims=True))
     r /= r.sum(axis=1, keepdims=True)
-    comp_mean = dn.means[None] + sa * np.einsum("kde,nke->nkd", V, proj * (lam / marg)[None])
+    comp_mean = dn.tables.means[None] + sa * np.einsum("kde,nke->nkd", V, proj * (lam / marg)[None])
     dens_grad = -np.einsum("kde,nke->nkd", V, proj / marg[None])
     E = np.einsum("nk,nkd->nd", r, comp_mean)
     if not with_jacobian:
