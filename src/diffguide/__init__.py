@@ -28,10 +28,8 @@ from .guidance import (
     StabilizerConfig,
     StabilizerState,
     GuidanceConfig,
-    GuidanceDivergence,
     stabilize,
     reverse_step,
-    guided_sample,
     sample_batch,
     unconditional_batch,
 )

@@ -228,15 +228,10 @@ def build_schedule(cfg: dict):
     return linear_schedule(s["T"], s["beta_start"], s["beta_end"], s["posterior_variance_mode"])
 
 
-def build_stabilizer(node: dict) -> gd.StabilizerConfig:
-    kind = node.get("kind", "identity")
-    if kind == "ema":
-        return gd.ema(node.get("beta", 0.99))
-    if kind == "adam":
-        return gd.adam(node.get("beta1", 0.9), node.get("beta2", 0.999), node.get("eps", 1e-8))
-    if kind == "identity":
-        return gd.identity()
-    raise ConfigError(f"unknown stabilizer kind {kind!r}")
+def build_stabilizer(node, where: str) -> gd.StabilizerConfig:
+    """The stabilizer a config node names; StabilizerConfig checks kind and betas."""
+    _check_keys(node, _SCHEMA["guidance"]["stabilizer"], where)
+    return gd.StabilizerConfig(**node)
 
 
 def _seed(cfg: dict, label: str, index: int = 0) -> int:
@@ -292,7 +287,7 @@ def build_guidance_config(cfg: dict, handle: clf.ClassifierHandle) -> gd.Guidanc
         scale=float(g["scale"]),
         path=g["path"],
         jacobian_mode=g["jacobian_mode"],
-        stabilizer=build_stabilizer(g["stabilizer"]),
+        stabilizer=build_stabilizer(g["stabilizer"], "config.guidance.stabilizer"),
         objective=g["objective"],
     )
 
@@ -381,7 +376,7 @@ def cmd_sensitivity(cfg: dict, chash: str, out: Path, metric: str, path_kind: st
     handle = _load_classifier(cfg, out, spec)
     _, val_ds = _datasets(cfg, spec)
     n = min(cfg["sensitivity"]["n"], len(val_ds))
-    stab_cfg = build_stabilizer(json.loads(stabilizer)) if stabilizer else None
+    stab_cfg = build_stabilizer(json.loads(stabilizer), "--stabilizer") if stabilizer else None
     curve_obj = sens.curve(
         handle,
         dn,
@@ -484,22 +479,19 @@ def cmd_report(out: Path, fmt: str) -> int:
     rows = []
     for path in sorted(out.glob("sweep_*.csv")):
         with open(path) as f:
-            lines = [ln for ln in f.read().splitlines() if not ln.startswith("#")]
-        header = lines[0].split(",")
-        for ln in lines[1:]:
-            vals = dict(zip(header, ln.split(",")))
-            rows.append(
-                {
-                    "setup": path.stem.removeprefix("sweep_"),
-                    "s": float(vals["s"]),
-                    "acc_oracle": float(vals["acc_oracle"]),
-                    "acc_guiding": float(vals["acc_guiding"]),
-                    "fd": float(vals["fd"]),
-                    "cfd": float(vals["cfd"]),
-                    "n": int(vals["n"]),
-                    "n_diverged": int(vals["n_diverged"]),
-                }
-            )
+            lines = [ln.split(",") for ln in f.read().splitlines() if not ln.startswith("#")]
+        if not lines or not set(mtr.SWEEP_COLUMNS) <= set(lines[0]):
+            raise ConfigError(f"{path}: header lacks the sweep columns {list(mtr.SWEEP_COLUMNS)}")
+        header = lines[0]
+        for fields in lines[1:]:
+            vals = dict(zip(header, fields))
+            try:
+                if len(fields) != len(header):
+                    raise ValueError(f"a row has {len(fields)} fields, the header {len(header)}")
+                row = {key: conv(vals[key]) for key, conv in mtr.SWEEP_COLUMNS.items()}
+            except ValueError as e:
+                raise ConfigError(f"{path}: {e}") from e
+            rows.append({"setup": path.stem.removeprefix("sweep_"), **row})
     if not rows:
         print("error: no sweep outputs found", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,14 +18,6 @@ from .rng import substream
 from .schedule import Schedule, reverse_coefficients
 
 
-class GuidanceDivergence(RuntimeError):
-    """A chain produced a non-finite state; carries the step index."""
-
-    def __init__(self, t: int):
-        super().__init__(f"guidance diverged at step t={t}")
-        self.t = t
-
-
 # -- stabilizers -------------------------------------------------------------
 
 
@@ -45,7 +37,7 @@ class StabilizerConfig:
         if self.kind == "adam":
             if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
                 raise ValueError("adam betas must lie in [0, 1)")
-            if self.eps <= 0.0:
+            if not self.eps > 0.0:
                 raise ValueError("adam eps must be > 0")
 
     @property
@@ -124,6 +116,8 @@ class GuidanceConfig:
             raise ValueError("path must be 'raw' or 'x0pred'")
         if self.jacobian_mode not in ("full", "stop_gradient"):
             raise ValueError("jacobian_mode must be 'full' or 'stop_gradient'")
+        if self.objective not in ("log_softmax", "logit"):
+            raise ValueError("objective must be 'log_softmax' or 'logit'")
 
 
 @dataclass
@@ -171,7 +165,6 @@ def _run_chains(
     cfg: GuidanceConfig | None,
     n: int,
     seed: int,
-    collect_trace: bool = False,
     chain_indices=None,
 ):
     T, d = schedule.T, dn.dim
@@ -183,7 +176,6 @@ def _run_chains(
     active = np.ones(n, dtype=bool)
     if cfg is not None:
         state = init_stabilizer_state((n, d))
-    trace = [] if collect_trace else None
     with np.errstate(all="ignore"):
         for t in range(T, 0, -1):
             ab = schedule.alpha_bar(t)
@@ -213,17 +205,7 @@ def _run_chains(
                 active[bad] = False
                 x_next[~active] = np.nan
             x = x_next
-            if collect_trace:
-                trace.append(
-                    {
-                        "t": t,
-                        "x": x.copy(),
-                        "g": None if cfg is None else g.copy(),
-                        "nu": None if cfg is None else nu.copy(),
-                    }
-                )
-    result = BatchResult(x, ~active, diverged_t)
-    return (result, trace) if collect_trace else result
+    return BatchResult(x, ~active, diverged_t)
 
 
 def sample_batch(
@@ -251,19 +233,3 @@ def unconditional_batch(dn: AnalyticDenoiser, schedule: Schedule, n: int, seed: 
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return _run_chains(dn, schedule, None, n, seed)
-
-
-def guided_sample(
-    dn: AnalyticDenoiser,
-    schedule: Schedule,
-    cfg: GuidanceConfig,
-    seed: int,
-    return_trace: bool = False,
-):
-    """Single guided chain on substream 0; raises GuidanceDivergence on blowup."""
-    out = _run_chains(dn, schedule, cfg, 1, seed, collect_trace=return_trace)
-    result, trace = out if return_trace else (out, None)
-    if result.diverged[0]:
-        raise GuidanceDivergence(int(result.diverged_t[0]))
-    sample = result.samples[0]
-    return (sample, trace) if return_trace else sample

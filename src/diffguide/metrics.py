@@ -10,7 +10,7 @@ data coordinates; at this scale the data space is already the semantic space.
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,11 @@ from .rng import substream
 from .synthdata import GmmSpec, sample_class_points, sample_labeled
 
 _COV_REG = 1e-10
+# sweep CSV columns in file order, with the type each value parses back to
+SWEEP_COLUMNS = {
+    "s": float, "acc_oracle": float, "acc_guiding": float, "fd": float, "cfd": float,
+    "n": int, "n_diverged": int,
+}
 
 
 class EmptyBatchError(ValueError):
@@ -74,19 +79,8 @@ class MetricsReport:
     n_diverged: int
     config_hash: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "target_accuracy_oracle": self.target_accuracy_oracle,
-            "target_accuracy_guiding": self.target_accuracy_guiding,
-            "fd": self.fd,
-            "cfd": self.cfd,
-            "n_samples": self.n_samples,
-            "n_diverged": self.n_diverged,
-            "config_hash": self.config_hash,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def evaluate(
@@ -175,7 +169,7 @@ def save_sweep_csv(rows, path, config_hash: str = "") -> None:
         if config_hash:
             f.write(f"# config_hash: {config_hash}\n")
         writer = csv.writer(f)
-        writer.writerow(["s", "acc_oracle", "acc_guiding", "fd", "cfd", "n", "n_diverged"])
+        writer.writerow(list(SWEEP_COLUMNS))
         for s, report in rows:
             writer.writerow(
                 [

@@ -5,8 +5,11 @@ All metrics compare a point x_t with its less-noisy sibling x_{t-1} built
 from the same clean point and the same noise draw, so the only difference
 between the two inputs is the schedule coefficients. Ratios are reported per
 step: logit sensitivity is ||f(x_t) - f(x_{t-1})|| / ||x_t - x_{t-1}||, and
-gradient sensitivity replaces the logits by guidance gradients. Pairs with a
-zero input distance are undefined and excluded from aggregation.
+gradient sensitivity replaces the logits by guidance gradients. The
+stabilized metric feeds those gradients through a stabilizer, so `curve`
+walks every trajectory once in the sampling direction t = T..1 with a fresh
+zero state. Pairs with a zero input distance are undefined and excluded from
+aggregation.
 """
 
 import csv
@@ -17,7 +20,7 @@ import numpy as np
 from .classifier import ClassifierHandle, predict_logits
 from .denoiser import AnalyticDenoiser, guided_log_prob_gradient
 from .guidance import StabilizerConfig, init_stabilizer_state, stabilize
-from .schedule import Schedule
+from .schedule import forward_sample
 
 _METRICS = ("logit", "gradient", "stabilized_gradient")
 
@@ -35,15 +38,6 @@ class SensitivityCurve:
     @property
     def degenerate(self) -> bool:
         return int(self.count.max(initial=0)) == 0
-
-
-def coupled_trajectory(schedule: Schedule, x0, eps) -> np.ndarray:
-    """All of x_1..x_T from one clean point and one shared noise draw; (T, d)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    sa = np.sqrt(schedule.alpha_bars)[:, None]
-    sb = np.sqrt(1.0 - schedule.alpha_bars)[:, None]
-    return sa * x0[None, :] + sb * eps[None, :]
 
 
 def logit_sensitivity(h: ClassifierHandle, x_a, x_b) -> float:
@@ -79,39 +73,6 @@ def gradient_sensitivity(
     return float(np.linalg.norm(g_t - g_tm1)) / den
 
 
-def stabilized_gradient_sensitivity(
-    h: ClassifierHandle,
-    dn: AnalyticDenoiser,
-    trajectory: np.ndarray,
-    y: int,
-    path: str,
-    stabilizer: StabilizerConfig,
-    jacobian_mode: str = "full",
-    objective: str = "log_softmax",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sensitivity of stabilizer outputs along one coupled trajectory.
-
-    Walks t = T..1 in the sampling direction with a fresh zero state, feeding
-    each step's guidance gradient through the stabilizer; the ratio at index
-    t compares the outputs at steps t and t-1 against the input distance.
-    Returns (step indices 2..T, values in that order).
-    """
-    traj = np.asarray(trajectory, dtype=np.float64)
-    T = len(traj)
-    state = init_stabilizer_state(traj.shape[1])
-    vals = np.full(T - 1, np.nan)
-    prev_nu = None
-    for t in range(T, 0, -1):
-        g = guided_log_prob_gradient(dn, h, traj[t - 1], t, y, path, jacobian_mode, objective)
-        state, nu = stabilize(state, stabilizer, g)
-        if prev_nu is not None:
-            den = float(np.linalg.norm(traj[t] - traj[t - 1]))
-            if den > 0.0:
-                vals[t - 1] = float(np.linalg.norm(prev_nu - nu)) / den
-        prev_nu = nu
-    return np.arange(2, T + 1), vals
-
-
 def curve(
     h: ClassifierHandle,
     dn: AnalyticDenoiser,
@@ -145,34 +106,23 @@ def curve(
     )
     n, d = X0.shape
     T = schedule.T
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((n, d))
-    sa = np.sqrt(schedule.alpha_bars)
-    sb = np.sqrt(1.0 - schedule.alpha_bars)
+    eps = np.random.default_rng(seed).standard_normal((n, d))
 
+    # walk t = T..1, the sampling direction the stabilizer state needs
     ratios = np.full((T - 1, n), np.nan)  # row i = step t = i + 2
-    if metric == "stabilized_gradient":
-        state = init_stabilizer_state((n, d))
-        prev_nu = prev_x = None
-        for t in range(T, 0, -1):
-            X_t = sa[t - 1] * X0 + sb[t - 1] * eps
-            g = guided_log_prob_gradient(dn, h, X_t, t, ys, path, jacobian_mode, objective)
-            state, nu = stabilize(state, stabilizer, g)
-            if prev_nu is not None:
-                _ratio_into(ratios[t - 1], prev_nu - nu, prev_x - X_t)
-            prev_nu, prev_x = nu, X_t
-    else:
-        prev_f = prev_x = None
-        for t in range(1, T + 1):
-            X_t = sa[t - 1] * X0 + sb[t - 1] * eps
-            if metric == "logit":
-                pts = dn.posterior_mean_x0(X_t, t) if path == "x0pred" else X_t
-                f = predict_logits(h, pts)
-            else:
-                f = guided_log_prob_gradient(dn, h, X_t, t, ys, path, jacobian_mode, objective)
-            if prev_f is not None:
-                _ratio_into(ratios[t - 2], f - prev_f, X_t - prev_x)
-            prev_f, prev_x = f, X_t
+    state = init_stabilizer_state((n, d))
+    prev_f = prev_x = None
+    for t in range(T, 0, -1):
+        X_t = forward_sample(schedule, X0, t, eps)
+        if metric == "logit":
+            f = predict_logits(h, dn.posterior_mean_x0(X_t, t) if path == "x0pred" else X_t)
+        else:
+            f = guided_log_prob_gradient(dn, h, X_t, t, ys, path, jacobian_mode, objective)
+        if metric == "stabilized_gradient":
+            state, f = stabilize(state, stabilizer, f)
+        if prev_f is not None:
+            _ratio_into(ratios[t - 1], prev_f - f, prev_x - X_t)
+        prev_f, prev_x = f, X_t
 
     defined = ~np.isnan(ratios)
     counts = defined.sum(axis=1)

@@ -33,7 +33,6 @@ from diffguide.guidance import (
     GuidanceConfig,
     adam,
     ema,
-    guided_sample,
     identity,
     init_stabilizer_state,
     sample_batch,
@@ -302,13 +301,14 @@ def test_sampler_scale_zero_identity(denoiser, schedule400, h_nonrobust):
         )
         guided = sample_batch(denoiser, schedule400, cfg, 8, 2024)
         ok &= np.array_equal(guided.samples, plain.samples)
-    single = guided_sample(
+    single = sample_batch(
         denoiser,
         schedule400,
         GuidanceConfig(classifier=h_nonrobust, target_class=1, scale=0.0),
+        1,
         2024,
     )
-    ok &= np.array_equal(single, plain.samples[0])
+    ok &= np.array_equal(single.samples[0], plain.samples[0])
     assert _report("sampler-scale-zero-identity", ok, "bitwise equal over 8 chains, both paths")
 
 

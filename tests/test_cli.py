@@ -219,6 +219,7 @@ def _two_class_mixture(prior0, mean0):
         ({"train": {"hidden": ["a"]}}, ["train", "--persona", "non_robust"]),
         (_two_class_mixture(0.5, [float("nan"), 0.0]), ["gen-data"]),
         ({**_two_class_mixture(float("nan"), [-1.0, 0.0]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
+        ({"guidance": {"classifier": "bayes_oracle", "objective": "bogus"}}, ["sample"]),
     ],
     ids=[
         "mixture-without-components",
@@ -226,6 +227,7 @@ def _two_class_mixture(prior0, mean0):
         "non-integer-hidden-size",
         "nan-mean",
         "nan-prior-oracle-sample",
+        "unknown-objective-oracle-sample",
     ],
 )
 def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):
@@ -235,6 +237,47 @@ def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ['[1]', '"ema"', '{"kind":"ema","beta":"x"}', '{"kind":"ema","beta":null}', '{"kind":"ema","bogus":1}'],
+    ids=["list", "string", "string-beta", "null-beta", "unknown-field"],
+)
+def test_bad_stabilizer_flag_fails_closed(tmp_path, capsys, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, "guidance": {"classifier": "bayes_oracle"}}))
+    argv = ["sensitivity", "--metric", "stabilized_gradient", "--stabilizer", flag]
+    assert _run("--config", str(path), "--out", str(tmp_path / "run"), *argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
+_SWEEP_HEADER = "s,acc_oracle,acc_guiding,fd,cfd,n,n_diverged\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["# config_hash: x\na,b\n1,2\n", _SWEEP_HEADER + "0,1,1,0.1\n", "# config_hash: x\n"],
+    ids=["header-without-sweep-columns", "row-missing-fields", "comments-only"],
+)
+def test_report_rejects_malformed_sweep_csv(tmp_path, capsys, text):
+    (tmp_path / "sweep_bad.csv").write_text(text)
+    assert _run("--out", str(tmp_path), "report") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sweep_bad.csv" in err
+    assert "Traceback" not in err
+
+
+def test_report_reads_well_formed_sweep_csv(tmp_path):
+    (tmp_path / "sweep_good.csv").write_text("# config_hash: x\n" + _SWEEP_HEADER + "2,0.97,0.99,0.5,0.25,40,0\n")
+    assert _run("--out", str(tmp_path), "--format", "json", "report") == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["best"] == {
+        "setup": "good", "s": 2.0, "acc_oracle": 0.97, "acc_guiding": 0.99,
+        "fd": 0.5, "cfd": 0.25, "n": 40, "n_diverged": 0,
+    }
 
 
 def test_report_selects_best(tmp_path, small_cfg):
@@ -306,3 +349,35 @@ def test_any_json_leaf_fails_closed(replacements):
         cfg.write_text(json.dumps(raw))
         for command in ("gen-data", "sample"):
             assert main(["--config", str(cfg), "--out", str(Path(tmp) / "run"), command]) in (0, 1, 2)
+
+
+# anything --stabilizer may hold: arbitrary JSON, objects over the stabilizer's
+# fields (and one unknown field) with arbitrary values, and mostly valid objects
+_STABILIZER_FIELDS = ("kind", "beta", "beta1", "beta2", "eps")
+_STABILIZER_JSON = (
+    _JSON_VALUES
+    | st.dictionaries(st.sampled_from(_STABILIZER_FIELDS + ("bogus",)), _JSON_VALUES, max_size=3)
+    | st.fixed_dictionaries(
+        {"kind": st.sampled_from(["identity", "ema", "adam"])},
+        optional={key: st.floats(0.0, 1.0) for key in _STABILIZER_FIELDS[1:]},
+    )
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_STABILIZER_JSON)
+def test_any_stabilizer_json_fails_closed(value):
+    raw = {**_PROPERTY_BASE, "sensitivity": {"n": 10}}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["--config", str(cfg), "--out", str(Path(tmp) / "run"), "sensitivity"]
+        # the = form keeps argparse from reading a value such as -1e+16 as an option
+        argv += ["--metric", "stabilized_gradient", f"--stabilizer={json.dumps(value)}"]
+        assert main(argv) in (0, 1)

@@ -4,11 +4,9 @@ import pytest
 import diffguide as dg
 from diffguide.guidance import (
     GuidanceConfig,
-    GuidanceDivergence,
     StabilizerConfig,
     adam,
     ema,
-    guided_sample,
     identity,
     init_stabilizer_state,
     reverse_step,
@@ -130,6 +128,8 @@ def test_stabilizer_config_validation():
     with pytest.raises(ValueError):
         StabilizerConfig("adam", eps=0.0)
     with pytest.raises(ValueError):
+        StabilizerConfig("adam", eps=float("nan"))
+    with pytest.raises(ValueError):
         StabilizerConfig("momentum")
     with pytest.raises(ValueError):
         stabilize(init_stabilizer_state(2), ema(0.9), np.zeros(3))
@@ -142,6 +142,8 @@ def test_guidance_config_validation(h_oracle):
         GuidanceConfig(classifier=h_oracle, target_class=0, path="x1pred")
     with pytest.raises(ValueError):
         GuidanceConfig(classifier=h_oracle, target_class=0, jacobian_mode="partial")
+    with pytest.raises(ValueError):
+        GuidanceConfig(classifier=h_oracle, target_class=0, objective="bogus")
 
 
 # -- reverse sampling ----------------------------------------------------------
@@ -177,8 +179,8 @@ def test_single_chain_equals_batch_row_zero(small_denoiser, small_schedule, h_no
         classifier=h_nonrobust, target_class=1, scale=4.0, path="x0pred", stabilizer=ema(0.99)
     )
     batch = sample_batch(small_denoiser, small_schedule, cfg, 3, 55)
-    single = guided_sample(small_denoiser, small_schedule, cfg, 55)
-    assert np.array_equal(single, batch.samples[0])
+    single = sample_batch(small_denoiser, small_schedule, cfg, 1, 55)
+    assert np.array_equal(single.samples[0], batch.samples[0])
 
 
 def test_chain_permutation_permutes_outputs(small_denoiser, small_schedule, h_nonrobust):
@@ -199,21 +201,26 @@ def test_unguided_engine_matches_scalar_reverse_loop(small_denoiser, small_sched
         assert np.array_equal(x, batch.samples[i])
 
 
-def test_trace_gradients_match_public_op(small_denoiser, small_schedule, h_nonrobust):
+def test_trace_gradients_match_public_op(small_denoiser, small_schedule, h_nonrobust, monkeypatch):
+    # record the state, step and gradient the sampler guides with at each step
+    records = []
+    sampler_gradient = dg.guidance.guidance_gradient
+
+    def recorded(dn, h, X, t, *args):
+        g = sampler_gradient(dn, h, X, t, *args)
+        records.append((X.copy(), t, g.copy()))
+        return g
+
+    monkeypatch.setattr(dg.guidance, "guidance_gradient", recorded)
     cfg = GuidanceConfig(
         classifier=h_nonrobust, target_class=0, scale=2.0, path="x0pred", stabilizer=ema(0.9)
     )
-    sample, trace = guided_sample(small_denoiser, small_schedule, cfg, 5, return_trace=True)
-    # reconstruct each step's state: x at step t is the *previous* record's x
-    gen = substream(5, "chain", 0)
-    x_t = gen.standard_normal(2)
-    for rec in trace:
-        g = dg.guided_log_prob_gradient(
-            small_denoiser, h_nonrobust, x_t, rec["t"], 0, path="x0pred"
-        )
-        np.testing.assert_allclose(rec["g"][0], g, rtol=0, atol=1e-13)
-        x_t = rec["x"][0]
-    assert np.array_equal(sample, trace[-1]["x"][0])
+    sample_batch(small_denoiser, small_schedule, cfg, 1, 5)
+    assert [t for _, t, _ in records] == list(range(small_schedule.T, 0, -1))
+    assert np.array_equal(records[0][0][0], substream(5, "chain", 0).standard_normal(2))
+    for X, t, g in records:
+        want = dg.guided_log_prob_gradient(small_denoiser, h_nonrobust, X[0], t, 0, path="x0pred")
+        np.testing.assert_allclose(g[0], want, rtol=0, atol=1e-13)
 
 
 def test_sampling_deterministic(small_denoiser, small_schedule, h_oracle):
@@ -247,9 +254,6 @@ def test_divergence_detection_and_reporting(small_denoiser, small_schedule, h_or
     assert np.all(np.isnan(batch.samples))
     assert np.all(batch.diverged_t > 0)
     assert len(batch.kept()) == 0
-    with pytest.raises(GuidanceDivergence) as err:
-        guided_sample(small_denoiser, small_schedule, cfg, 3)
-    assert err.value.t > 0
 
 
 def test_oracle_guidance_lands_in_target_class(denoiser, schedule400, h_oracle, spec2):

@@ -7,14 +7,7 @@ from diffguide.denoiser import AnalyticDenoiser
 from diffguide.guidance import ema, identity
 from diffguide.nn import MlpModel
 from diffguide.schedule import schedule_from_betas
-from diffguide.sensitivity import (
-    coupled_trajectory,
-    curve,
-    gradient_sensitivity,
-    logit_sensitivity,
-    save_curve_csv,
-    stabilized_gradient_sensitivity,
-)
+from diffguide.sensitivity import curve, gradient_sensitivity, logit_sensitivity, save_curve_csv
 from diffguide.synthdata import make_spec
 
 
@@ -123,37 +116,53 @@ def test_gradient_sensitivity_nonrobust_exceeds_robust_midway(
     assert np.mean(vals_nr) > np.mean(vals_r)
 
 
+def _one_point_pairs(schedule, x0, seed):
+    """The coupled pairs (x_t, x_{t-1}), t = 2..T, of a one-point curve at seed."""
+    eps = np.random.default_rng(seed).standard_normal((1, 2))[0]
+    return [dg.coupled_pair(schedule, x0, t, eps) for t in range(2, schedule.T + 1)]
+
+
 def test_stabilized_identity_equals_pointwise(h_nonrobust, small_denoiser, small_schedule):
-    rng = np.random.default_rng(4)
-    x0 = rng.standard_normal(2)
-    eps = rng.standard_normal(2)
-    traj = coupled_trajectory(small_schedule, x0, eps)
-    ts, vals = stabilized_gradient_sensitivity(
-        h_nonrobust, small_denoiser, traj, 1, "raw", identity()
+    x0 = np.random.default_rng(4).standard_normal(2)
+    c = curve(
+        h_nonrobust, small_denoiser, x0[None], [1], "stabilized_gradient",
+        stabilizer=identity(), seed=40,
     )
-    for i, t in enumerate(ts):
-        want = gradient_sensitivity(
-            h_nonrobust, small_denoiser, traj[t - 1], traj[t - 2], int(t), 1, path="raw"
-        )
-        assert vals[i] == pytest.approx(want, rel=1e-12)
+    for i, (x_t, x_tm1) in enumerate(_one_point_pairs(small_schedule, x0, 40)):
+        want = gradient_sensitivity(h_nonrobust, small_denoiser, x_t, x_tm1, int(c.t[i]), 1, path="raw")
+        assert c.mean[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_stabilized_ema_constant_gradient_geometric_decay(small_denoiser, small_schedule):
     # affine logits give a constant gradient sequence; the ema differences
     # then shrink by exactly beta per step and the ratios tend to zero
     h = _linear_handle(np.array([[0.8, -0.2], [0.1, 0.9]]))
-    rng = np.random.default_rng(5)
-    traj = coupled_trajectory(small_schedule, rng.standard_normal(2), rng.standard_normal(2))
+    x0 = np.random.default_rng(5).standard_normal(2)
     beta = 0.9
-    ts, vals = stabilized_gradient_sensitivity(
-        h, small_denoiser, traj, 0, "raw", ema(beta), objective="logit"
+    c = curve(
+        h, small_denoiser, x0[None], [0], "stabilized_gradient",
+        stabilizer=ema(beta), seed=50, objective="logit",
     )
-    dens = np.array([np.linalg.norm(traj[t] - traj[t - 1]) for t in range(1, len(traj))])
+    vals = c.mean
+    dens = np.array([np.linalg.norm(a - b) for a, b in _one_point_pairs(small_schedule, x0, 50)])
     nums = vals * dens  # ||nu_t - nu_{t+1}|| walking downward
     nums = nums[::-1]  # chronological order of the walk
     for k in range(len(nums) - 1):
         assert nums[k + 1] == pytest.approx(beta * nums[k], rel=1e-9)
     assert vals[0] < 1e-2 * vals[-1]
+
+
+def test_stabilized_identity_curve_equals_gradient_curve(h_nonrobust, small_denoiser, val_ds):
+    pts, labs = val_ds.points[:12], val_ds.labels[:12]
+    for path in ("raw", "x0pred"):
+        plain = curve(h_nonrobust, small_denoiser, pts, labs, "gradient", path=path, seed=8)
+        stab = curve(
+            h_nonrobust, small_denoiser, pts, labs, "stabilized_gradient",
+            path=path, stabilizer=identity(), seed=8,
+        )
+        assert np.array_equal(stab.mean, plain.mean)
+        assert np.array_equal(stab.std, plain.std)
+        assert np.array_equal(stab.count, plain.count)
 
 
 def test_curve_matches_scalar_ops(h_nonrobust, small_denoiser, small_schedule, val_ds):
