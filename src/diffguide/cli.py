@@ -484,10 +484,10 @@ def cmd_report(out: Path, fmt: str) -> int:
             raise ConfigError(f"{path}: header lacks the sweep columns {list(mtr.SWEEP_COLUMNS)}")
         header = lines[0]
         for fields in lines[1:]:
+            if len(fields) != len(header):
+                raise ConfigError(f"{path}: a row has {len(fields)} fields, the header {len(header)}")
             vals = dict(zip(header, fields))
             try:
-                if len(fields) != len(header):
-                    raise ValueError(f"a row has {len(fields)} fields, the header {len(header)}")
                 row = {key: conv(vals[key]) for key, conv in mtr.SWEEP_COLUMNS.items()}
             except ValueError as e:
                 raise ConfigError(f"{path}: {e}") from e
