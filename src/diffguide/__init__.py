@@ -2,37 +2,13 @@
 mixtures with exactly known structure: analytic denoiser, hand-written
 classifier gradients, guidance stabilizers, and exact evaluation metrics."""
 
-from .schedule import (
-    Schedule,
-    schedule_from_betas,
-    linear_schedule,
-    forward_sample,
-    coupled_pair,
-    reverse_coefficients,
-)
-from .synthdata import (
-    GmmSpec,
-    LabeledDataset,
-    make_spec,
-    two_class_benchmark,
-    three_class_benchmark,
-    sample_dataset,
-    class_density,
-    log_class_density,
-)
-from .nn import MlpModel, init_mlp, forward, log_softmax_target, input_gradient, train
-from .classifier import ClassifierHandle, non_robust, robust, bayes_oracle, predict_logits, accuracy
-from .denoiser import AnalyticDenoiser, guided_log_prob_gradient
-from .sensitivity import SensitivityCurve, logit_sensitivity, gradient_sensitivity, curve
-from .guidance import (
-    StabilizerConfig,
-    StabilizerState,
-    GuidanceConfig,
-    stabilize,
-    reverse_step,
-    sample_batch,
-    unconditional_batch,
-)
-from .metrics import MetricsReport, frechet_distance, gaussian_frechet, evaluate, sweep
+from .schedule import linear_schedule
+from .synthdata import make_spec, two_class_benchmark, three_class_benchmark, sample_dataset
+from .nn import init_mlp, train
+from .classifier import non_robust, robust, bayes_oracle
+from .denoiser import AnalyticDenoiser
+from .guidance import StabilizerConfig, GuidanceConfig, stabilize, sample_batch, unconditional_batch
+from .sensitivity import curve
+from .metrics import evaluate, sweep
 
 __version__ = "0.1.0"

@@ -7,14 +7,12 @@ posterior). The oracle is the unbiased judge for generated samples; the
 trained personas are the guidance subjects.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .synthdata import ComponentTables, GmmSpec, _ordered_sum, as_batch
-from .schedule import Schedule
+from .synthdata import GmmSpec, _ordered_sum, as_batch
 
 _KINDS = ("non_robust", "robust", "bayes_oracle")
 
@@ -28,11 +26,6 @@ class ClassifierHandle:
     @property
     def n_classes(self) -> int:
         return self.spec.n_classes if self.kind == "bayes_oracle" else self.model.n_classes
-
-    @functools.cached_property
-    def _oracle_tables(self) -> ComponentTables:
-        """The oracle's clean-data (ab = 1) component tables, built on first use."""
-        return ComponentTables(self.spec, [1.0])
 
 
 def non_robust(model: nn.MlpModel) -> ClassifierHandle:
@@ -80,7 +73,7 @@ def _oracle_pass(h: ClassifierHandle, X: np.ndarray):
     shifted by its own max so that far points do not underflow, of its
     components' log joints log(prior_c w_k N(x; mu_k, Sigma_k)); its gradient
     is their responsibility-weighted sum of component scores."""
-    tb = h._oracle_tables
+    tb = h.spec.clean_tables
     proj, log_joint = tb.log_joint(X, 0)  # (d, K, n), (K, n)
     score = tb.score(proj, 0)
     logits, grads, lo = [], [], 0
@@ -93,39 +86,3 @@ def _oracle_pass(h: ClassifierHandle, X: np.ndarray):
         grads.append(_ordered_sum(e / total * score[:, lo:hi], axis=1))
         lo = hi
     return np.stack(logits), np.stack(grads)
-
-
-def accuracy(
-    h: ClassifierHandle,
-    points: np.ndarray,
-    labels: np.ndarray,
-    preprocess: str = "none",
-    *,
-    t: int | None = None,
-    schedule: Schedule | None = None,
-    denoiser=None,
-    seed: int = 0,
-) -> float:
-    """Fraction of argmax-correct predictions after optional preprocessing.
-
-    preprocess "forward_noise" replaces each point by a freshly noised version
-    at step t; "x0_pred" additionally maps the noised point back through the
-    denoiser's one-step clean-data estimate before classifying.
-    """
-    X = np.asarray(points, dtype=np.float64)
-    ys = np.asarray(labels, dtype=np.int64)
-    if preprocess not in ("none", "forward_noise", "x0_pred"):
-        raise ValueError(f"unknown preprocess {preprocess!r}")
-    if preprocess != "none":
-        if t is None or schedule is None:
-            raise ValueError("noised preprocessing needs t and a schedule")
-        rng = np.random.default_rng(seed)
-        eps = rng.standard_normal(X.shape)
-        ab = schedule.alpha_bar(t)
-        X = np.sqrt(ab) * X + np.sqrt(1.0 - ab) * eps
-        if preprocess == "x0_pred":
-            if denoiser is None:
-                raise ValueError("x0_pred preprocessing needs a denoiser")
-            X = denoiser.posterior_mean_x0(X, t)
-    pred = np.argmax(predict_logits(h, X), axis=1)
-    return float(np.mean(pred == ys))

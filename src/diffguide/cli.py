@@ -386,6 +386,8 @@ def cmd_sensitivity(cfg: dict, chash: str, out: Path, metric: str, path_kind: st
         path=path_kind,
         stabilizer=stab_cfg,
         seed=_seed(cfg, "sensitivity-eps"),
+        jacobian_mode=cfg["guidance"]["jacobian_mode"],
+        objective=cfg["guidance"]["objective"],
     )
     stab_tag = (
         "_" + stab_cfg.label.translate(str.maketrans({"(": "-", ")": "", ",": "-"}))
@@ -537,7 +539,11 @@ def main(argv=None) -> int:
     sub.add_parser("sweep", help="guidance scale sweep + plots")
     sub.add_parser("report", help="consolidate sweeps, flag the best setup")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed the usage or help; exit 2 is kept for "every chain diverged"
+        return EXIT_CONFIG if e.code else EXIT_OK
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

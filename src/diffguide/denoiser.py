@@ -19,7 +19,6 @@ information enters sampling only through the guiding classifier.
 
 import numpy as np
 
-from . import classifier as clf
 from .schedule import Schedule
 from .synthdata import ComponentTables, GmmSpec, _contract, _ordered_sum, as_batch
 
@@ -39,6 +38,12 @@ class AnalyticDenoiser:
         if abs(tb.weights.sum() - 1.0) > 1e-12:
             raise ValueError("pooled component weights must sum to 1")
         self.dim = tb.means.shape[1]
+        # A_k = sqrt(ab) Sigma_k S_k^{-1}, the responsibility-weighted part of
+        # the Jacobian, laid out (row, d, d, K, 1) like the tables
+        vecs = tb.cov_eigvecs
+        shrink = np.moveaxis(tb.shrink[..., 0], -1, 1)  # (rows, K, d)
+        A = tb.sqrt_ab[:, None, None, None] * np.einsum("tkde,kfe->tkdf", vecs * shrink[:, :, None, :], vecs)
+        self.A = np.ascontiguousarray(np.moveaxis(A, 1, -1)[..., None])
 
     # -- internal -----------------------------------------------------------
 
@@ -60,7 +65,7 @@ class AnalyticDenoiser:
             return np.ascontiguousarray(E.T), None
         # gradient of each component's log marginal density: -S_k^{-1} diff
         dens_grad = tb.score(proj, t)
-        J = _ordered_sum(tb.A[t] * r, axis=2)  # (d, d, n)
+        J = _ordered_sum(self.A[t] * r, axis=2)  # (d, d, n)
         J += _ordered_sum(weighted[:, None] * dens_grad[None], axis=2)
         gbar = _ordered_sum(r * dens_grad, axis=1)
         J -= E[:, None] * gbar[None]
@@ -73,85 +78,3 @@ class AnalyticDenoiser:
         X, single = as_batch(x_t)
         out, _ = self._bundle(X, t)
         return out[0] if single else out
-
-    def epsilon(self, x_t, t: int) -> np.ndarray:
-        """Implied noise prediction (x_t - sqrt(ab_t) E[x0|x_t]) / sqrt(1 - ab_t)."""
-        ab = self.schedule.alpha_bar(t)
-        if ab >= 1.0:
-            raise ValueError(f"alpha_bar({t}) = 1: noise prediction undefined")
-        X, single = as_batch(x_t)
-        e = (X - np.sqrt(ab) * self.posterior_mean_x0(X, t)) / np.sqrt(1.0 - ab)
-        return e[0] if single else e
-
-    def x0_prediction(self, x_t, t: int) -> np.ndarray:
-        """One-step clean-data estimate x_t/sqrt(ab_t) - sqrt(1-ab_t)/sqrt(ab_t) * eps.
-
-        Algebraically identical to posterior_mean_x0; kept as the literal
-        rearrangement so the identity is testable.
-        """
-        ab = self.schedule.alpha_bar(t)
-        if ab >= 1.0:
-            raise ValueError(f"alpha_bar({t}) = 1: prediction undefined")
-        X, single = as_batch(x_t)
-        sa = np.sqrt(ab)
-        out = X / sa - (np.sqrt(1.0 - ab) / sa) * self.epsilon(X, t)
-        return out[0] if single else out
-
-    def x0_jacobian(self, x_t, t: int, mode: str = "full") -> np.ndarray:
-        """d x0_prediction / d x_t, shape (d, d) or (n, d, d).
-
-        "full" differentiates the closed form, including the responsibility
-        shifts between components; "stop_gradient" treats the noise prediction
-        as a constant, leaving only the 1/sqrt(ab_t) rescaling.
-        """
-        if mode not in ("full", "stop_gradient"):
-            raise ValueError("mode must be 'full' or 'stop_gradient'")
-        X, single = as_batch(x_t)
-        n = len(X)
-        ab = self.schedule.alpha_bar(t)
-        if mode == "stop_gradient":
-            J = np.broadcast_to(np.eye(self.dim) / np.sqrt(ab), (n, self.dim, self.dim)).copy()
-            return J[0] if single else J
-        _, J = self._bundle(X, t, with_jacobian=True)
-        return J[0] if single else J
-
-
-def guided_log_prob_gradient(
-    dn: AnalyticDenoiser,
-    h: clf.ClassifierHandle,
-    x_t,
-    t: int,
-    y,
-    path: str = "raw",
-    jacobian_mode: str = "full",
-    objective: str = "log_softmax",
-) -> np.ndarray:
-    """Guidance gradient at a noisy point.
-
-    path "raw" differentiates the classifier objective directly at x_t;
-    "x0pred" evaluates it at the denoised estimate and pulls the gradient
-    back through the denoiser Jacobian (or the stop-gradient rescaling),
-    both from one posterior pass.
-    """
-    if path not in ("raw", "x0pred"):
-        raise ValueError("path must be 'raw' or 'x0pred'")
-    X, single = as_batch(x_t)
-    mean_x0 = jac = None
-    if path == "x0pred":
-        if jacobian_mode not in ("full", "stop_gradient"):
-            raise ValueError("mode must be 'full' or 'stop_gradient'")
-        mean_x0, jac = dn._bundle(X, t, with_jacobian=jacobian_mode == "full")
-    g = guidance_gradient(dn, h, X, t, y, mean_x0, jac, path, jacobian_mode, objective)
-    return g[0] if single else g
-
-
-def guidance_gradient(dn, h, X, t, y, mean_x0, jac, path, jacobian_mode, objective) -> np.ndarray:
-    """Guidance gradient at the noisy batch X from its already-computed
-    posterior pass (mean_x0, jac), as dn._bundle returns it; "raw" needs
-    neither and "stop_gradient" no Jacobian."""
-    if path == "raw":
-        return clf.input_gradient(h, X, y, objective)
-    v = clf.input_gradient(h, mean_x0, y, objective)
-    if jacobian_mode == "stop_gradient":
-        return v / dn.tables.sqrt_ab[t]
-    return np.einsum("npq,np->nq", jac, v)

@@ -8,12 +8,12 @@ from zero deliberately biases early guidance toward zero, when the chain
 state is nearly pure noise and classifier gradients are least reliable.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import ClassifierHandle
-from .denoiser import AnalyticDenoiser, guidance_gradient
+from . import classifier as clf
+from .denoiser import AnalyticDenoiser
 from .rng import substream
 from .schedule import Schedule, reverse_coefficients
 
@@ -67,11 +67,10 @@ class StabilizerState:
 
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
 
 
 def init_stabilizer_state(shape) -> StabilizerState:
-    return StabilizerState(np.zeros(shape), np.zeros(shape), 0)
+    return StabilizerState(np.zeros(shape), np.zeros(shape))
 
 
 def stabilize(
@@ -87,13 +86,13 @@ def stabilize(
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
     if cfg.kind == "identity":
-        return replace(state, step=state.step + 1), g
+        return state, g
     if cfg.kind == "ema":
         m = cfg.beta * state.m + (1.0 - cfg.beta) * g
-        return StabilizerState(m, state.v, state.step + 1), m
+        return StabilizerState(m, state.v), m
     m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
     v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-    return StabilizerState(m, v, state.step + 1), m / (np.sqrt(v) + cfg.eps)
+    return StabilizerState(m, v), m / (np.sqrt(v) + cfg.eps)
 
 
 # -- guided sampling ---------------------------------------------------------
@@ -101,7 +100,7 @@ def stabilize(
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    classifier: ClassifierHandle
+    classifier: clf.ClassifierHandle
     target_class: int
     scale: float = 1.0
     path: str = "raw"  # raw | x0pred
@@ -119,6 +118,28 @@ class GuidanceConfig:
         if self.objective not in ("log_softmax", "logit"):
             raise ValueError("objective must be 'log_softmax' or 'logit'")
 
+    @property
+    def needs_jacobian(self) -> bool:
+        """Whether the gradient reads the posterior pass's Jacobian."""
+        return self.path == "x0pred" and self.jacobian_mode == "full"
+
+
+def guidance_gradient(cfg: GuidanceConfig, dn: AnalyticDenoiser, X, t: int, y, mean_x0, jac) -> np.ndarray:
+    """Guidance gradient of the class-y objective at the noisy batch X.
+
+    mean_x0 and jac are the step's posterior pass, as dn._bundle(X, t,
+    cfg.needs_jacobian) returns it. "raw" differentiates the classifier at
+    X and reads neither; "x0pred" differentiates it at mean_x0 and pulls the
+    gradient back through jac, or through the 1/sqrt(ab_t) rescaling alone
+    for "stop_gradient".
+    """
+    if cfg.path == "raw":
+        return clf.input_gradient(cfg.classifier, X, y, cfg.objective)
+    v = clf.input_gradient(cfg.classifier, mean_x0, y, cfg.objective)
+    if cfg.jacobian_mode == "stop_gradient":
+        return v / dn.tables.sqrt_ab[t]
+    return np.einsum("npq,np->nq", jac, v)
+
 
 @dataclass
 class BatchResult:
@@ -135,14 +156,6 @@ class BatchResult:
 
 
 _CHAIN_LABEL = "chain"
-
-
-def reverse_step(dn: AnalyticDenoiser, schedule: Schedule, x_t, t: int, rng) -> np.ndarray:
-    """One unguided reverse transition; the final step t = 1 is noiseless."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    z = rng.standard_normal(x_t.shape) if t > 1 else np.zeros_like(x_t)
-    coeff_x, coeff_eps, sigma_sq = reverse_coefficients(schedule, t)
-    return coeff_x * x_t - coeff_eps * dn.epsilon(x_t, t) + np.sqrt(sigma_sq) * z
 
 
 def _pregenerate_noise(chain_indices, T: int, d: int, seed: int):
@@ -182,14 +195,10 @@ def _run_chains(
             sa = np.sqrt(ab)
             # one posterior pass feeds the guidance gradient and the reverse
             # step's noise prediction
-            need_j = cfg is not None and cfg.path == "x0pred" and cfg.jacobian_mode == "full"
-            mean_x0, jac = dn._bundle(x, t, with_jacobian=need_j)
+            mean_x0, jac = dn._bundle(x, t, with_jacobian=cfg is not None and cfg.needs_jacobian)
             shift = None
             if cfg is not None:
-                g = guidance_gradient(
-                    dn, cfg.classifier, x, t, cfg.target_class, mean_x0, jac,
-                    cfg.path, cfg.jacobian_mode, cfg.objective,
-                )
+                g = guidance_gradient(cfg, dn, x, t, cfg.target_class, mean_x0, jac)
                 state, nu = stabilize(state, cfg.stabilizer, g)
                 shift = cfg.scale * schedule.sigma_sq(t) * nu
             eps_hat = (x - sa * mean_x0) / np.sqrt(1.0 - ab)

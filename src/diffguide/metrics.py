@@ -88,7 +88,6 @@ def evaluate(
     spec: GmmSpec,
     target_class: int,
     guiding: clf.ClassifierHandle,
-    reference_n: int | None = None,
     seed: int = 0,
     n_diverged: int = 0,
     config_hash: str = "",
@@ -96,16 +95,15 @@ def evaluate(
     """Score a batch of generated samples against fresh reference draws.
 
     Reference sets are drawn i.i.d. from the known mixture (pooled for fd,
-    target class only for cfd), sized like the sample set unless reference_n
-    overrides. Deterministic in (samples, seed).
+    target class only for cfd), sized like the sample set. Deterministic in
+    (samples, seed).
     """
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2 or len(X) == 0:
         raise EmptyBatchError("no surviving samples to evaluate")
-    ref_n = int(reference_n) if reference_n is not None else len(X)
     rng = substream(seed, "evaluate-reference")
-    pooled_ref, _ = sample_labeled(spec, ref_n, rng)
-    class_ref = sample_class_points(spec, target_class, ref_n, rng)
+    pooled_ref, _ = sample_labeled(spec, len(X), rng)
+    class_ref = sample_class_points(spec, target_class, len(X), rng)
 
     oracle = clf.bayes_oracle(spec)
     pred_oracle = np.argmax(clf.predict_logits(oracle, X), axis=1)
@@ -128,7 +126,6 @@ def sweep(
     scales,
     n_per_scale: int,
     seed: int,
-    reference_n: int | None = None,
     config_hash: str = "",
 ) -> list[tuple[float, MetricsReport]]:
     """One sampled batch and report per guidance scale.
@@ -155,7 +152,6 @@ def sweep(
                 dn.spec,
                 cfg.target_class,
                 cfg.classifier,
-                reference_n=reference_n,
                 seed=seed,
                 n_diverged=batch.n_diverged,
                 config_hash=config_hash,

@@ -18,6 +18,8 @@ from .schedule import Schedule
 
 _ACTIVATIONS = ("tanh", "softplus")
 _OBJECTIVES = ("log_softmax", "logit")
+# Adam moment decays and denominator offset used by train
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -182,9 +184,6 @@ def train(
     epochs: int = 50,
     batch_size: int = 128,
     lr: float = 0.01,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    adam_eps: float = 1e-8,
     seed: int = 0,
 ) -> TrainResult:
     """Minibatch cross-entropy training with bias-corrected adaptive moments.
@@ -240,15 +239,15 @@ def train(
                     f"non-finite loss {loss} at step {step}; lower the learning rate"
                 )
             step += 1
-            corr1 = 1.0 - beta1**step
-            corr2 = 1.0 - beta2**step
+            corr1 = 1.0 - _BETA1**step
+            corr2 = 1.0 - _BETA2**step
             for i in range(len(weights)):
-                m_w[i] = beta1 * m_w[i] + (1.0 - beta1) * dWs[i]
-                v_w[i] = beta2 * v_w[i] + (1.0 - beta2) * dWs[i] ** 2
-                weights[i] -= lr * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + adam_eps)
-                m_b[i] = beta1 * m_b[i] + (1.0 - beta1) * dbs[i]
-                v_b[i] = beta2 * v_b[i] + (1.0 - beta2) * dbs[i] ** 2
-                biases[i] -= lr * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + adam_eps)
+                m_w[i] = _BETA1 * m_w[i] + (1.0 - _BETA1) * dWs[i]
+                v_w[i] = _BETA2 * v_w[i] + (1.0 - _BETA2) * dWs[i] ** 2
+                weights[i] -= lr * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + _ADAM_EPS)
+                m_b[i] = _BETA1 * m_b[i] + (1.0 - _BETA1) * dbs[i]
+                v_b[i] = _BETA2 * v_b[i] + (1.0 - _BETA2) * dbs[i] ** 2
+                biases[i] -= lr * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + _ADAM_EPS)
             epoch_losses.append(loss)
         losses.append(float(np.mean(epoch_losses)))
 

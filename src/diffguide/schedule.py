@@ -116,17 +116,6 @@ def forward_sample(schedule: Schedule, x0, t: int, eps):
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
-def coupled_pair(schedule: Schedule, x0, t: int, eps):
-    """(x_t, x_{t-1}) noised from x0 with one shared eps.
-
-    Sharing the noise makes the pair differ only through the schedule
-    coefficients, so x_t is a strictly noisier sibling of x_{t-1}.
-    """
-    if t < 2:
-        raise ValueError(f"coupled pair needs t >= 2, got t={t}")
-    return forward_sample(schedule, x0, t, eps), forward_sample(schedule, x0, t - 1, eps)
-
-
 def reverse_coefficients(schedule: Schedule, t: int) -> tuple[float, float, float]:
     """(mean_coeff_x, mean_coeff_eps, sigma_sq) of the reverse transition at t.
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ClassifierHandle, predict_logits
-from .denoiser import AnalyticDenoiser, guided_log_prob_gradient
-from .guidance import StabilizerConfig, init_stabilizer_state, stabilize
+from .denoiser import AnalyticDenoiser
+from .guidance import GuidanceConfig, StabilizerConfig, guidance_gradient, init_stabilizer_state, stabilize
 from .schedule import forward_sample
 
 _METRICS = ("logit", "gradient", "stabilized_gradient")
@@ -40,39 +40,6 @@ class SensitivityCurve:
         return int(self.count.max(initial=0)) == 0
 
 
-def logit_sensitivity(h: ClassifierHandle, x_a, x_b) -> float:
-    """Logit-change to input-change ratio; NaN when the inputs coincide."""
-    x_a = np.asarray(x_a, dtype=np.float64)
-    x_b = np.asarray(x_b, dtype=np.float64)
-    den = float(np.linalg.norm(x_a - x_b))
-    if den == 0.0:
-        return float("nan")
-    num = float(np.linalg.norm(predict_logits(h, x_a) - predict_logits(h, x_b)))
-    return num / den
-
-
-def gradient_sensitivity(
-    h: ClassifierHandle,
-    dn: AnalyticDenoiser,
-    x_t,
-    x_tm1,
-    t: int,
-    y: int,
-    path: str = "raw",
-    jacobian_mode: str = "full",
-    objective: str = "log_softmax",
-) -> float:
-    """Guidance-gradient-change to input-change ratio between steps t, t-1."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x_tm1 = np.asarray(x_tm1, dtype=np.float64)
-    den = float(np.linalg.norm(x_t - x_tm1))
-    if den == 0.0:
-        return float("nan")
-    g_t = guided_log_prob_gradient(dn, h, x_t, t, y, path, jacobian_mode, objective)
-    g_tm1 = guided_log_prob_gradient(dn, h, x_tm1, t - 1, y, path, jacobian_mode, objective)
-    return float(np.linalg.norm(g_t - g_tm1)) / den
-
-
 def curve(
     h: ClassifierHandle,
     dn: AnalyticDenoiser,
@@ -82,28 +49,25 @@ def curve(
     path: str = "raw",
     stabilizer: StabilizerConfig | None = None,
     seed: int = 0,
-    y_mode: str | int = "true_label",
     jacobian_mode: str = "full",
     objective: str = "log_softmax",
 ) -> SensitivityCurve:
     """Per-step mean/std of a sensitivity metric over a dataset.
 
-    Every sample gets one shared noise draw for its whole trajectory. The
-    target class for gradients is the sample's own label unless y_mode fixes
-    a class index. Undefined (zero-distance) pairs are dropped per step and
-    the remaining count recorded.
+    Every sample gets one shared noise draw for its whole trajectory, and
+    its own label is the target class of its gradients. Undefined
+    (zero-distance) pairs are dropped per step and the remaining count
+    recorded.
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}")
     if metric == "stabilized_gradient" and stabilizer is None:
         raise ValueError("stabilized_gradient needs a stabilizer config")
+    # the sampler's gradient recipe; each point's label replaces target_class
+    recipe = GuidanceConfig(h, target_class=0, path=path, jacobian_mode=jacobian_mode, objective=objective)
     schedule = dn.schedule
     X0 = np.asarray(points, dtype=np.float64)
-    ys = (
-        np.asarray(labels, dtype=np.int64)
-        if y_mode == "true_label"
-        else np.full(len(X0), int(y_mode), dtype=np.int64)
-    )
+    ys = np.asarray(labels, dtype=np.int64)
     n, d = X0.shape
     T = schedule.T
     eps = np.random.default_rng(seed).standard_normal((n, d))
@@ -117,7 +81,9 @@ def curve(
         if metric == "logit":
             f = predict_logits(h, dn.posterior_mean_x0(X_t, t) if path == "x0pred" else X_t)
         else:
-            f = guided_log_prob_gradient(dn, h, X_t, t, ys, path, jacobian_mode, objective)
+            # the raw path reads no posterior pass
+            mean_x0, jac = dn._bundle(X_t, t, recipe.needs_jacobian) if path == "x0pred" else (None, None)
+            f = guidance_gradient(recipe, dn, X_t, t, ys, mean_x0, jac)
         if metric == "stabilized_gradient":
             state, f = stabilize(state, stabilizer, f)
         if prev_f is not None:

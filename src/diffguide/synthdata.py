@@ -6,6 +6,7 @@ evaluate it through one tabulated component pass (ComponentTables).
 """
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ class GmmSpec:
     def priors(self) -> np.ndarray:
         return np.array([c.prior for c in self.classes])
 
+    @functools.cached_property
+    def clean_tables(self) -> "ComponentTables":
+        """Clean-data (ab = 1) component tables, built on first use and
+        shared by every Bayes-oracle handle on this spec."""
+        return ComponentTables(self, [1.0])
+
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -61,6 +68,7 @@ def make_spec(classes: list[tuple[float, list[tuple[float, list, np.ndarray]]]])
     """
     built = []
     dim = None
+    min_var = np.inf
     for prior, comps in classes:
         frozen_comps = []
         for weight, mean, cov in comps:
@@ -82,8 +90,10 @@ def make_spec(classes: list[tuple[float, list[tuple[float, list, np.ndarray]]]])
                 raise ValueError(f"covariance must be {dim}x{dim}")
             if not np.allclose(cov, cov.T):
                 raise ValueError("covariance must be symmetric")
-            if np.min(np.linalg.eigvalsh(cov)) <= 0.0:
+            lam = np.min(np.linalg.eigvalsh(cov))
+            if lam <= 0.0:
                 raise ValueError("covariance must be positive definite")
+            min_var = min(min_var, lam)
             mean.setflags(write=False)
             cov.setflags(write=False)
             frozen_comps.append(Component(float(weight), mean, cov))
@@ -94,6 +104,15 @@ def make_spec(classes: list[tuple[float, list[tuple[float, list, np.ndarray]]]])
     psum = sum(c.prior for c in built)
     if not abs(psum - 1.0) <= _PROB_TOL:
         raise ValueError(f"class priors sum to {psum}, expected 1")
+    # a log joint divides a squared offset from a mean by a variance of at
+    # least min(lambda, 1); offsets between means, and from the origin where
+    # chains start, must leave it finite
+    means = np.stack([c.mean for cls in built for c in cls.components])
+    ends = np.vstack([means, np.zeros(dim)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum((means[:, None] - ends[None]) ** 2, axis=2) / min(max(min_var, _EIG_FLOOR), 1.0)
+    if not np.all(np.isfinite(sq)):
+        raise ValueError("component means are too far apart: squared distances overflow float64")
     return GmmSpec(tuple(built))
 
 
@@ -147,8 +166,6 @@ def sample_labeled(spec: GmmSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
 def sample_class_points(spec: GmmSpec, y: int, n: int, rng) -> np.ndarray:
     """Draw n points from class y's mixture using the supplied generator."""
     _check_class(spec, y)
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     return _sample_class(spec.classes[y], n, rng)
 
 
@@ -164,24 +181,6 @@ def _sample_class(cls: ClassSpec, n: int, rng) -> np.ndarray:
             chol = np.linalg.cholesky(comp.cov)
             out[mask] = comp.mean + z[mask] @ chol.T
     return out
-
-
-def log_class_density(spec: GmmSpec, y: int, x) -> np.ndarray | float:
-    """log sum_k w_k N(x; mu_k, Sigma_k) for class y, stable for small values."""
-    _check_class(spec, y)
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    comps = spec.classes[y].components
-    logs = np.stack(
-        [np.log(c.weight) + _log_gaussian(X, c.mean, c.cov) for c in comps], axis=1
-    )
-    out = _logsumexp(logs, axis=1)
-    return float(out[0]) if single else out
-
-
-def class_density(spec: GmmSpec, y: int, x) -> np.ndarray | float:
-    return np.exp(log_class_density(spec, y, x))
 
 
 def pooled_components(spec: GmmSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,8 +242,6 @@ class ComponentTables:
         sa = np.sqrt(ab)
         marg = ab * self.cov_eigvals + (1.0 - ab)  # (rows, K, d) marginal eigvals
         shrink = self.cov_eigvals / marg  # lambda / marg
-        # A_k = sqrt(ab) Sigma_k S_k^{-1}, the responsibility-weighted part of the Jacobian
-        A = sa[..., None] * np.einsum("tkde,kfe->tkdf", vecs * shrink[:, :, None, :], vecs)
 
         def per_row(table):  # (rows, K, ...) -> (rows, ..., K, 1)
             return np.ascontiguousarray(np.moveaxis(table, 1, -1)[..., None])
@@ -254,7 +251,6 @@ class ComponentTables:
         self.log_norm = np.sum(np.log(2.0 * np.pi * marg), axis=2)[..., None]  # (rows, K, 1)
         self.shifted_means = per_row(sa * means)  # sqrt(ab) mu_k
         self.shrink = per_row(shrink)
-        self.A = per_row(A)
 
     def log_joint(self, X: np.ndarray, row: int) -> tuple[np.ndarray, np.ndarray]:
         """Eigenbasis offsets V_k^T (x - sqrt(ab) mu_k) (d, K, n) and each
@@ -270,20 +266,6 @@ class ComponentTables:
         return -_contract(self.from_eigen, proj / self.marg[row])
 
 
-def _log_gaussian(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = len(mean)
-    vals, vecs = np.linalg.eigh(cov)
-    diff = (X - mean) @ vecs
-    quad = np.sum(diff * diff / vals, axis=1)
-    logdet = np.sum(np.log(vals))
-    return -0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.sum(np.exp(a - m), axis=axis))
-
-
 def _check_class(spec: GmmSpec, y: int) -> None:
     if not 0 <= y < spec.n_classes:
         raise ValueError(f"class index {y} outside [0, {spec.n_classes})")
@@ -296,19 +278,3 @@ def save_dataset_csv(dataset: LabeledDataset, path) -> None:
         writer.writerow([f"x{i}" for i in range(d)] + ["label"])
         for row, label in zip(dataset.points, dataset.labels):
             writer.writerow([format(v, ".17g") for v in row] + [int(label)])
-
-
-def load_dataset_csv(path, seed: int = -1) -> LabeledDataset:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        d = len(header) - 1
-        points, labels = [], []
-        for row in reader:
-            points.append([float(v) for v in row[:d]])
-            labels.append(int(row[d]))
-    pts = np.asarray(points, dtype=np.float64)
-    labs = np.asarray(labels, dtype=np.int64)
-    pts.setflags(write=False)
-    labs.setflags(write=False)
-    return LabeledDataset(pts, labs, seed)

@@ -1,0 +1,221 @@
+"""Independent references the tests compare pipeline output against.
+
+None of these runs in the pipeline. Each is a separate, literal
+implementation of a quantity the package computes another way: the implied
+noise prediction and one-step reverse transition written from the DDPM
+formulas, single-pair sensitivity ratios, class densities summed component by
+component, and classifier accuracy under forward noise. `guided_gradient`
+and `jacobian` are thin conveniences over the pipeline's own posterior pass
+and gradient recipe, for tests that need one point at a time.
+"""
+
+import csv
+
+import numpy as np
+
+from diffguide.classifier import ClassifierHandle, predict_logits
+from diffguide.denoiser import AnalyticDenoiser
+from diffguide.guidance import GuidanceConfig, guidance_gradient
+from diffguide.schedule import Schedule, forward_sample, reverse_coefficients
+from diffguide.synthdata import GmmSpec, LabeledDataset, _check_class, as_batch
+
+
+# -- pipeline conveniences -----------------------------------------------------
+
+
+def guided_gradient(
+    dn: AnalyticDenoiser,
+    h: ClassifierHandle,
+    x_t,
+    t: int,
+    y,
+    path: str = "raw",
+    jacobian_mode: str = "full",
+    objective: str = "log_softmax",
+) -> np.ndarray:
+    """The sampler's guidance gradient at a point (d,) or batch (n, d)."""
+    cfg = GuidanceConfig(h, target_class=0, path=path, jacobian_mode=jacobian_mode, objective=objective)
+    X, single = as_batch(x_t)
+    mean_x0, jac = dn._bundle(X, t, with_jacobian=cfg.needs_jacobian)
+    g = guidance_gradient(cfg, dn, X, t, y, mean_x0, jac)
+    return g[0] if single else g
+
+
+def jacobian(dn: AnalyticDenoiser, x_t, t: int) -> np.ndarray:
+    """d E[x0 | x_t] / d x_t from the posterior pass, (d, d) or (n, d, d)."""
+    X, single = as_batch(x_t)
+    _, J = dn._bundle(X, t, with_jacobian=True)
+    return J[0] if single else J
+
+
+# -- denoiser and reverse step ---------------------------------------------------
+
+
+def epsilon(dn: AnalyticDenoiser, x_t, t: int) -> np.ndarray:
+    """Implied noise prediction (x_t - sqrt(ab_t) E[x0|x_t]) / sqrt(1 - ab_t)."""
+    ab = dn.schedule.alpha_bar(t)
+    if ab >= 1.0:
+        raise ValueError(f"alpha_bar({t}) = 1: noise prediction undefined")
+    X, single = as_batch(x_t)
+    e = (X - np.sqrt(ab) * dn.posterior_mean_x0(X, t)) / np.sqrt(1.0 - ab)
+    return e[0] if single else e
+
+
+def x0_prediction(dn: AnalyticDenoiser, x_t, t: int) -> np.ndarray:
+    """One-step clean-data estimate x_t/sqrt(ab_t) - sqrt(1-ab_t)/sqrt(ab_t) * eps.
+
+    Algebraically identical to posterior_mean_x0; kept as the literal
+    rearrangement so the identity is testable.
+    """
+    ab = dn.schedule.alpha_bar(t)
+    if ab >= 1.0:
+        raise ValueError(f"alpha_bar({t}) = 1: prediction undefined")
+    X, single = as_batch(x_t)
+    sa = np.sqrt(ab)
+    out = X / sa - (np.sqrt(1.0 - ab) / sa) * epsilon(dn, X, t)
+    return out[0] if single else out
+
+
+def reverse_step(dn: AnalyticDenoiser, schedule: Schedule, x_t, t: int, rng) -> np.ndarray:
+    """One unguided reverse transition; the final step t = 1 is noiseless."""
+    x_t = np.asarray(x_t, dtype=np.float64)
+    z = rng.standard_normal(x_t.shape) if t > 1 else np.zeros_like(x_t)
+    coeff_x, coeff_eps, sigma_sq = reverse_coefficients(schedule, t)
+    return coeff_x * x_t - coeff_eps * epsilon(dn, x_t, t) + np.sqrt(sigma_sq) * z
+
+
+# -- sensitivity -----------------------------------------------------------------
+
+
+def coupled_pair(schedule: Schedule, x0, t: int, eps):
+    """(x_t, x_{t-1}) noised from x0 with one shared eps.
+
+    Sharing the noise makes the pair differ only through the schedule
+    coefficients, so x_t is a strictly noisier sibling of x_{t-1}.
+    """
+    if t < 2:
+        raise ValueError(f"coupled pair needs t >= 2, got t={t}")
+    return forward_sample(schedule, x0, t, eps), forward_sample(schedule, x0, t - 1, eps)
+
+
+def logit_sensitivity(h: ClassifierHandle, x_a, x_b) -> float:
+    """Logit-change to input-change ratio; NaN when the inputs coincide."""
+    x_a = np.asarray(x_a, dtype=np.float64)
+    x_b = np.asarray(x_b, dtype=np.float64)
+    den = float(np.linalg.norm(x_a - x_b))
+    if den == 0.0:
+        return float("nan")
+    num = float(np.linalg.norm(predict_logits(h, x_a) - predict_logits(h, x_b)))
+    return num / den
+
+
+def gradient_sensitivity(
+    h: ClassifierHandle,
+    dn: AnalyticDenoiser,
+    x_t,
+    x_tm1,
+    t: int,
+    y: int,
+    path: str = "raw",
+    jacobian_mode: str = "full",
+    objective: str = "log_softmax",
+) -> float:
+    """Guidance-gradient-change to input-change ratio between steps t, t-1."""
+    x_t = np.asarray(x_t, dtype=np.float64)
+    x_tm1 = np.asarray(x_tm1, dtype=np.float64)
+    den = float(np.linalg.norm(x_t - x_tm1))
+    if den == 0.0:
+        return float("nan")
+    g_t = guided_gradient(dn, h, x_t, t, y, path, jacobian_mode, objective)
+    g_tm1 = guided_gradient(dn, h, x_tm1, t - 1, y, path, jacobian_mode, objective)
+    return float(np.linalg.norm(g_t - g_tm1)) / den
+
+
+# -- mixture densities -------------------------------------------------------------
+
+
+def log_class_density(spec: GmmSpec, y: int, x) -> np.ndarray | float:
+    """log sum_k w_k N(x; mu_k, Sigma_k) for class y, stable for small values."""
+    _check_class(spec, y)
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    X = x[None, :] if single else x
+    comps = spec.classes[y].components
+    logs = np.stack(
+        [np.log(c.weight) + _log_gaussian(X, c.mean, c.cov) for c in comps], axis=1
+    )
+    out = _logsumexp(logs, axis=1)
+    return float(out[0]) if single else out
+
+
+def class_density(spec: GmmSpec, y: int, x) -> np.ndarray | float:
+    return np.exp(log_class_density(spec, y, x))
+
+
+def _log_gaussian(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    d = len(mean)
+    vals, vecs = np.linalg.eigh(cov)
+    diff = (X - mean) @ vecs
+    quad = np.sum(diff * diff / vals, axis=1)
+    logdet = np.sum(np.log(vals))
+    return -0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+
+
+# -- classifiers and data files ----------------------------------------------------
+
+
+def accuracy(
+    h: ClassifierHandle,
+    points: np.ndarray,
+    labels: np.ndarray,
+    preprocess: str = "none",
+    *,
+    t: int | None = None,
+    schedule: Schedule | None = None,
+    denoiser=None,
+    seed: int = 0,
+) -> float:
+    """Fraction of argmax-correct predictions after optional preprocessing.
+
+    preprocess "forward_noise" replaces each point by a freshly noised version
+    at step t; "x0_pred" additionally maps the noised point back through the
+    denoiser's one-step clean-data estimate before classifying.
+    """
+    X = np.asarray(points, dtype=np.float64)
+    ys = np.asarray(labels, dtype=np.int64)
+    if preprocess not in ("none", "forward_noise", "x0_pred"):
+        raise ValueError(f"unknown preprocess {preprocess!r}")
+    if preprocess != "none":
+        if t is None or schedule is None:
+            raise ValueError("noised preprocessing needs t and a schedule")
+        rng = np.random.default_rng(seed)
+        eps = rng.standard_normal(X.shape)
+        ab = schedule.alpha_bar(t)
+        X = np.sqrt(ab) * X + np.sqrt(1.0 - ab) * eps
+        if preprocess == "x0_pred":
+            if denoiser is None:
+                raise ValueError("x0_pred preprocessing needs a denoiser")
+            X = denoiser.posterior_mean_x0(X, t)
+    pred = np.argmax(predict_logits(h, X), axis=1)
+    return float(np.mean(pred == ys))
+
+
+def load_dataset_csv(path, seed: int = -1) -> LabeledDataset:
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        d = len(header) - 1
+        points, labels = [], []
+        for row in reader:
+            points.append([float(v) for v in row[:d]])
+            labels.append(int(row[d]))
+    pts = np.asarray(points, dtype=np.float64)
+    labs = np.asarray(labels, dtype=np.int64)
+    pts.setflags(write=False)
+    labs.setflags(write=False)
+    return LabeledDataset(pts, labs, seed)

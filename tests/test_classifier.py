@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from diffguide.classifier import accuracy, bayes_oracle, input_gradient, predict_logits
+from diffguide.classifier import bayes_oracle, input_gradient, predict_logits
 from diffguide.nn import log_softmax, log_softmax_target
 from diffguide.schedule import schedule_from_betas
-from diffguide.synthdata import (
-    class_density,
-    log_class_density,
-    make_spec,
-    sample_dataset,
-    three_class_benchmark,
-)
+from diffguide.synthdata import make_spec, sample_dataset, three_class_benchmark
 
 from conftest import binomial_3sigma
+from reference import accuracy, class_density, log_class_density
 
 
 def test_oracle_equal_logits_at_midpoint():

@@ -8,16 +8,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from diffguide.classifier import bayes_oracle
 from diffguide.cli import (
     EXIT_ALL_DIVERGED,
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
+    _datasets,
+    _seed,
+    build_schedule,
+    build_spec,
     config_hash,
     default_config,
+    load_config,
     main,
     validate_config,
 )
+from diffguide.denoiser import AnalyticDenoiser
+from diffguide.sensitivity import curve, save_curve_csv
 
 SMALL = {
     "seed": 7,
@@ -177,6 +185,54 @@ def test_all_diverged_exit_code(tmp_path):
     assert _run("--config", str(path), "--out", out, "sample") == EXIT_ALL_DIVERGED
 
 
+def test_usage_error_exits_1_not_2(tmp_path, capsys):
+    # exit 2 means only "every chain diverged"
+    for argv in (
+        ["--out", str(tmp_path), "frobnicate"],
+        ["--out", str(tmp_path)],
+        ["--out", str(tmp_path), "sensitivity", "--stabilizer", "-1e+16"],
+    ):
+        assert _run(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    assert _run("--help") == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
+def _sensitivity_run(tmp_path, name, guidance):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**SMALL, "guidance": {"classifier": "bayes_oracle", **guidance}}))
+    out = tmp_path / name
+    argv = ["sensitivity", "--metric", "gradient", "--path", "x0pred"]
+    assert _run("--config", str(path), "--out", str(out), *argv) == EXIT_OK
+    return str(path), (out / "sensitivity_gradient_x0pred.csv").read_text()
+
+
+def _data_rows(text):
+    return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("guidance", [{"objective": "logit"}, {"jacobian_mode": "stop_gradient"}])
+def test_sensitivity_uses_the_configured_gradient_recipe(tmp_path, guidance):
+    _, default = _sensitivity_run(tmp_path, "default", {})
+    cfg_path, got = _sensitivity_run(tmp_path, "changed", guidance)
+    cfg, chash = load_config(cfg_path)
+    spec = build_spec(cfg)
+    _, val_ds = _datasets(cfg, spec)
+    n = cfg["sensitivity"]["n"]
+    want = curve(
+        bayes_oracle(spec), AnalyticDenoiser(spec, build_schedule(cfg)), val_ds.points[:n], val_ds.labels[:n],
+        "gradient", path="x0pred", seed=_seed(cfg, "sensitivity-eps"), **guidance,
+    )
+    save_curve_csv(want, tmp_path / "want.csv", chash)
+    assert got == (tmp_path / "want.csv").read_text()
+    assert _data_rows(got) != _data_rows(default)
+
+
 def test_three_class_pipeline(tmp_path):
     cfg = {
         "seed": 11,
@@ -220,6 +276,8 @@ def _two_class_mixture(prior0, mean0):
         (_two_class_mixture(0.5, [float("nan"), 0.0]), ["gen-data"]),
         ({**_two_class_mixture(float("nan"), [-1.0, 0.0]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
         ({"guidance": {"classifier": "bayes_oracle", "objective": "bogus"}}, ["sample"]),
+        (_two_class_mixture(0.5, [1e308, 0.0]), ["gen-data"]),
+        ({**_two_class_mixture(0.5, [1e308, 0.0]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
     ],
     ids=[
         "mixture-without-components",
@@ -228,6 +286,8 @@ def _two_class_mixture(prior0, mean0):
         "nan-mean",
         "nan-prior-oracle-sample",
         "unknown-objective-oracle-sample",
+        "huge-mean",
+        "huge-mean-oracle-sample",
     ],
 )
 def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):

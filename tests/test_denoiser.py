@@ -3,9 +3,11 @@ import pytest
 from scipy import integrate
 
 import diffguide as dg
-from diffguide.denoiser import AnalyticDenoiser, guided_log_prob_gradient
+from diffguide.denoiser import AnalyticDenoiser
 from diffguide.schedule import linear_schedule, schedule_from_betas
 from diffguide.synthdata import make_spec
+
+from reference import epsilon, guided_gradient, jacobian, x0_prediction
 
 
 def _single_gaussian_1d(mu=0.0, var=1.0):
@@ -81,12 +83,12 @@ def test_epsilon_recovers_exact_noise_for_point_mass():
     dn = AnalyticDenoiser(spec, sch)
     eps = 1.37
     x_t = np.sqrt(0.6) * 0.4 + np.sqrt(0.4) * eps
-    assert dn.epsilon(np.array([x_t]), 1)[0] == pytest.approx(eps, abs=1e-6)
+    assert epsilon(dn, np.array([x_t]), 1)[0] == pytest.approx(eps, abs=1e-6)
 
 
 def test_epsilon_scalar_case():
     dn = AnalyticDenoiser(_single_gaussian_1d(), _schedule_with_abar(0.5))
-    got = dn.epsilon(np.array([1.0]), 1)[0]
+    got = epsilon(dn, np.array([1.0]), 1)[0]
     want = (1.0 - np.sqrt(0.5) * 0.7071067811865476) / np.sqrt(0.5)
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(0.7071068, abs=1e-7)
@@ -97,7 +99,7 @@ def test_x0_prediction_round_trip(spec2, schedule400, denoiser):
     X = rng.standard_normal((50, 2))
     for t in (1, 100, 400):
         np.testing.assert_allclose(
-            denoiser.x0_prediction(X, t), denoiser.posterior_mean_x0(X, t), rtol=0, atol=1e-12
+            x0_prediction(denoiser, X, t), denoiser.posterior_mean_x0(X, t), rtol=0, atol=1e-12
         )
 
 
@@ -119,14 +121,14 @@ def test_x0_prediction_quadrature_1d():
         return density0(x0) * np.exp(-0.5 * (x_t - np.sqrt(ab) * x0) ** 2 / (1 - ab))
 
     want = integrate.quad(num, -15, 15)[0] / integrate.quad(den, -15, 15)[0]
-    assert dn.x0_prediction(np.array([x_t]), 1)[0] == pytest.approx(want, abs=1e-6)
+    assert x0_prediction(dn, np.array([x_t]), 1)[0] == pytest.approx(want, abs=1e-6)
 
 
 def test_jacobian_single_gaussian_constant():
     var = 1.0
     dn = AnalyticDenoiser(_single_gaussian_1d(var=var), _schedule_with_abar(0.5))
     for x in (-2.0, 0.0, 3.0):
-        J = dn.x0_jacobian(np.array([x]), 1)
+        J = jacobian(dn, np.array([x]), 1)
         want = np.sqrt(0.5) * var / (0.5 * var + 0.5)
         assert J[0, 0] == pytest.approx(want, abs=1e-12)
     assert want == pytest.approx(0.7071068, abs=1e-7)
@@ -134,7 +136,7 @@ def test_jacobian_single_gaussian_constant():
 
 def test_jacobian_identity_limit(spec2):
     dn = AnalyticDenoiser(spec2, _schedule_with_abar(1.0 - 1e-12))
-    J = dn.x0_jacobian(np.array([0.3, -0.4]), 1)
+    J = jacobian(dn, np.array([0.3, -0.4]), 1)
     np.testing.assert_allclose(J, np.eye(2), atol=1e-6)
 
 
@@ -146,7 +148,7 @@ def test_jacobian_finite_differences(denoiser):
     for _ in range(100):
         x = rng.standard_normal(2) * 1.5
         t = int(rng.integers(1, 401))
-        J = denoiser.x0_jacobian(x, t)
+        J = jacobian(denoiser, x, t)
         J_fd = np.zeros((2, 2))
         for q in range(2):
             e = np.zeros(2)
@@ -158,18 +160,11 @@ def test_jacobian_finite_differences(denoiser):
     assert worst <= 1e-5
 
 
-def test_jacobian_stop_gradient_mode(denoiser, schedule400):
-    J = denoiser.x0_jacobian(np.array([0.5, 0.5]), 120, mode="stop_gradient")
-    np.testing.assert_allclose(J, np.eye(2) / np.sqrt(schedule400.alpha_bar(120)), rtol=1e-15)
-    with pytest.raises(ValueError):
-        denoiser.x0_jacobian(np.array([0.5, 0.5]), 120, mode="detach")
-
-
 def test_monotone_information_decay():
     # single Gaussian: the Jacobian's spectral norm shrinks as alpha_bar does
     sch = linear_schedule(50, 1e-3, 0.1)
     dn = AnalyticDenoiser(_single_gaussian_1d(var=0.8), sch)
-    norms = [abs(dn.x0_jacobian(np.array([0.4]), t)[0, 0]) for t in range(1, 51)]
+    norms = [abs(jacobian(dn, np.array([0.4]), t)[0, 0]) for t in range(1, 51)]
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
@@ -189,7 +184,7 @@ def test_guided_gradient_raw_points_to_class_mean():
     mu = np.array([1.5, 0.0])
     for _ in range(25):
         x = rng.standard_normal(2) * 2.0
-        g = guided_log_prob_gradient(dn, h, x, 1, 0, path="raw")
+        g = guided_gradient(dn, h, x, 1, 0, path="raw")
         assert g @ (mu - x) > 0.0
 
 
@@ -197,8 +192,8 @@ def test_guided_gradient_x0pred_identity_limit(spec2, h_oracle):
     sch = schedule_from_betas([1e-12])
     dn = AnalyticDenoiser(spec2, sch)
     x = np.array([0.4, -0.9])
-    g_raw = guided_log_prob_gradient(dn, h_oracle, x, 1, 1, path="raw")
-    g_x0 = guided_log_prob_gradient(dn, h_oracle, x, 1, 1, path="x0pred")
+    g_raw = guided_gradient(dn, h_oracle, x, 1, 1, path="raw")
+    g_x0 = guided_gradient(dn, h_oracle, x, 1, 1, path="x0pred")
     np.testing.assert_allclose(g_x0, g_raw, atol=1e-10)
 
 
@@ -211,7 +206,7 @@ def test_guided_gradient_x0pred_finite_differences(denoiser, h_nonrobust, model_
         x = rng.standard_normal(2) * 1.3
         t = int(rng.integers(1, 401))
         y = int(rng.integers(2))
-        g = guided_log_prob_gradient(denoiser, h_nonrobust, x, t, y, path="x0pred")
+        g = guided_gradient(denoiser, h_nonrobust, x, t, y, path="x0pred")
 
         def obj(v):
             return log_softmax_target(forward(model_nonrobust, denoiser.posterior_mean_x0(v, t)), y)
@@ -226,20 +221,20 @@ def test_guided_gradient_stop_mode(denoiser, h_nonrobust, schedule400):
     x = np.array([0.2, 0.6])
     t = 111
     v = dg.classifier.input_gradient(h_nonrobust, denoiser.posterior_mean_x0(x, t), 1)
-    g = guided_log_prob_gradient(denoiser, h_nonrobust, x, t, 1, path="x0pred", jacobian_mode="stop_gradient")
+    g = guided_gradient(denoiser, h_nonrobust, x, t, 1, path="x0pred", jacobian_mode="stop_gradient")
     np.testing.assert_allclose(g, v / np.sqrt(schedule400.alpha_bar(t)), rtol=1e-15)
 
 
 def test_guided_gradient_validates_path(denoiser, h_nonrobust):
     with pytest.raises(ValueError):
-        guided_log_prob_gradient(denoiser, h_nonrobust, np.zeros(2), 1, 0, path="direct")
+        guided_gradient(denoiser, h_nonrobust, np.zeros(2), 1, 0, path="direct")
 
 
 def test_epsilon_rejects_alpha_bar_one(spec2):
     sch0 = schedule_from_betas(np.zeros(3), allow_degenerate=True)
     dn = AnalyticDenoiser(spec2, sch0)
     with pytest.raises(ValueError):
-        dn.epsilon(np.zeros(2), 2)
+        epsilon(dn, np.zeros(2), 2)
 
 
 def test_correlated_covariance_conjugate_oracle():
@@ -258,7 +253,7 @@ def test_correlated_covariance_conjugate_oracle():
         want = mu + np.sqrt(ab) * cov @ np.linalg.solve(S, x - np.sqrt(ab) * mu)
         np.testing.assert_allclose(dn.posterior_mean_x0(x, 1), want, rtol=1e-12)
         want_J = np.sqrt(ab) * cov @ np.linalg.inv(S)
-        np.testing.assert_allclose(dn.x0_jacobian(x, 1), want_J, rtol=1e-11)
+        np.testing.assert_allclose(jacobian(dn, x, 1), want_J, rtol=1e-11)
 
 
 def test_correlated_mixture_jacobian_finite_differences():
@@ -274,7 +269,7 @@ def test_correlated_mixture_jacobian_finite_differences():
     for _ in range(30):
         x = rng.standard_normal(2) * 1.4
         t = int(rng.integers(1, 31))
-        J = dn.x0_jacobian(x, t)
+        J = jacobian(dn, x, t)
         J_fd = np.zeros((2, 2))
         for q in range(2):
             e = np.zeros(2)
@@ -288,10 +283,10 @@ def test_batch_matches_single(denoiser):
     X = rng.standard_normal((9, 2))
     t = 250
     E = denoiser.posterior_mean_x0(X, t)
-    J = denoiser.x0_jacobian(X, t)
+    J = jacobian(denoiser, X, t)
     for i in range(9):
         np.testing.assert_allclose(E[i], denoiser.posterior_mean_x0(X[i], t), atol=1e-15)
-        np.testing.assert_allclose(J[i], denoiser.x0_jacobian(X[i], t), atol=1e-15)
+        np.testing.assert_allclose(J[i], jacobian(denoiser, X[i], t), atol=1e-15)
 
 
 def _einsum_bundle(dn, X, t, with_jacobian):
@@ -389,6 +384,6 @@ def test_guided_gradient_is_jacobian_pullback_bitwise(denoiser, h_nonrobust):
     X = np.random.default_rng(33).standard_normal((40, 2)) * 1.3
     for t in (1, 57, 400):
         v = dg.classifier.input_gradient(h_nonrobust, denoiser.posterior_mean_x0(X, t), 1)
-        want = np.einsum("npq,np->nq", denoiser.x0_jacobian(X, t), v)
-        got = guided_log_prob_gradient(denoiser, h_nonrobust, X, t, 1, path="x0pred")
+        want = np.einsum("npq,np->nq", jacobian(denoiser, X, t), v)
+        got = guided_gradient(denoiser, h_nonrobust, X, t, 1, path="x0pred")
         assert np.array_equal(got, want), t

@@ -3,6 +3,7 @@ import pytest
 from scipy import linalg as sla
 
 import diffguide as dg
+from diffguide.classifier import bayes_oracle, predict_logits
 from diffguide.guidance import GuidanceConfig, ema
 from diffguide.metrics import (
     EmptyBatchError,
@@ -152,3 +153,25 @@ def test_sweep_csv_format(tmp_path, small_denoiser, small_schedule, h_oracle):
     assert lines[0] == "# config_hash: cafe01"
     assert lines[1] == "s,acc_oracle,acc_guiding,fd,cfd,n,n_diverged"
     assert len(lines) == 4
+
+
+def test_oracle_tables_are_built_once_per_spec(small_schedule, h_nonrobust, monkeypatch):
+    # every scale's evaluation, and every oracle handle on the spec, reads
+    # the one clean-data table cached on the spec
+    spec = dg.two_class_benchmark()
+    dn = dg.AnalyticDenoiser(spec, small_schedule)
+    eigh, stacks = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:  # a stack of component covariances, not a Frechet square root
+            stacks.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cfg = GuidanceConfig(classifier=h_nonrobust, target_class=1, path="x0pred", stabilizer=ema(0.9))
+    sweep(dn, small_schedule, cfg, [0.0, 1.0, 2.0], 20, seed=3)
+    assert len(stacks) == 1
+    X = np.random.default_rng(2).standard_normal((5, 2))
+    first, second = bayes_oracle(spec), bayes_oracle(spec)
+    np.testing.assert_array_equal(predict_logits(first, X), predict_logits(second, X))
+    assert len(stacks) == 1

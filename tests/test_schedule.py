@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from diffguide.schedule import (
-    coupled_pair,
     forward_sample,
     linear_schedule,
     reverse_coefficients,
     schedule_from_betas,
 )
+
+from reference import coupled_pair
 
 
 def test_linear_schedule_endpoints(schedule400):

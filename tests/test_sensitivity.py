@@ -7,8 +7,10 @@ from diffguide.denoiser import AnalyticDenoiser
 from diffguide.guidance import ema, identity
 from diffguide.nn import MlpModel
 from diffguide.schedule import schedule_from_betas
-from diffguide.sensitivity import curve, gradient_sensitivity, logit_sensitivity, save_curve_csv
+from diffguide.sensitivity import curve, save_curve_csv
 from diffguide.synthdata import make_spec
+
+from reference import coupled_pair, gradient_sensitivity, guided_gradient, logit_sensitivity
 
 
 def _linear_handle(W, b=None):
@@ -91,8 +93,8 @@ def test_gradient_sensitivity_symmetric_swap(h_nonrobust, small_denoiser):
     # swapping the pair swaps which point gets which step index; for the raw
     # path the value only depends on the two gradients, so equality is exact
     v1 = gradient_sensitivity(h_nonrobust, small_denoiser, a, b, 5, 1, path="raw")
-    g_a = dg.guided_log_prob_gradient(small_denoiser, h_nonrobust, a, 5, 1, path="raw")
-    g_b = dg.guided_log_prob_gradient(small_denoiser, h_nonrobust, b, 4, 1, path="raw")
+    g_a = guided_gradient(small_denoiser, h_nonrobust, a, 5, 1, path="raw")
+    g_b = guided_gradient(small_denoiser, h_nonrobust, b, 4, 1, path="raw")
     assert v1 == pytest.approx(
         float(np.linalg.norm(g_a - g_b) / np.linalg.norm(a - b)), rel=1e-15
     )
@@ -109,7 +111,7 @@ def test_gradient_sensitivity_nonrobust_exceeds_robust_midway(
     vals_nr, vals_r = [], []
     for i in range(120):
         eps = rng.standard_normal(2)
-        x_t, x_tm1 = dg.coupled_pair(schedule400, val_ds.points[i], t, eps)
+        x_t, x_tm1 = coupled_pair(schedule400, val_ds.points[i], t, eps)
         y = int(val_ds.labels[i])
         vals_nr.append(gradient_sensitivity(h_nonrobust, denoiser, x_t, x_tm1, t, y))
         vals_r.append(gradient_sensitivity(h_robust, denoiser, x_t, x_tm1, t, y))
@@ -119,7 +121,7 @@ def test_gradient_sensitivity_nonrobust_exceeds_robust_midway(
 def _one_point_pairs(schedule, x0, seed):
     """The coupled pairs (x_t, x_{t-1}), t = 2..T, of a one-point curve at seed."""
     eps = np.random.default_rng(seed).standard_normal((1, 2))[0]
-    return [dg.coupled_pair(schedule, x0, t, eps) for t in range(2, schedule.T + 1)]
+    return [coupled_pair(schedule, x0, t, eps) for t in range(2, schedule.T + 1)]
 
 
 def test_stabilized_identity_equals_pointwise(h_nonrobust, small_denoiser, small_schedule):
@@ -175,7 +177,7 @@ def test_curve_matches_scalar_ops(h_nonrobust, small_denoiser, small_schedule, v
         gradient_sensitivity(
             h_nonrobust,
             small_denoiser,
-            *dg.coupled_pair(small_schedule, pts[i], t, eps[i]),
+            *coupled_pair(small_schedule, pts[i], t, eps[i]),
             t,
             int(labs[i]),
         )
@@ -212,16 +214,16 @@ def test_curve_ema_window_ordering(h_nonrobust, denoiser, val_ds):
     assert np.nanmean(c99.mean[half]) < np.nanmean(c90.mean[half])
 
 
-def test_curve_fixed_target_class(h_nonrobust, small_denoiser, val_ds):
-    c = curve(h_nonrobust, small_denoiser, val_ds.points[:10], val_ds.labels[:10], "gradient", y_mode=1, seed=2)
-    assert np.all(np.isfinite(c.mean))
-
-
 def test_curve_validates_metric(h_nonrobust, small_denoiser, val_ds):
     with pytest.raises(ValueError):
         curve(h_nonrobust, small_denoiser, val_ds.points[:5], val_ds.labels[:5], "hessian")
     with pytest.raises(ValueError):
         curve(h_nonrobust, small_denoiser, val_ds.points[:5], val_ds.labels[:5], "stabilized_gradient")
+    # the gradient recipe is checked for every metric, logit included
+    for metric in ("logit", "gradient"):
+        for bad in ({"path": "direct"}, {"jacobian_mode": "partial"}, {"objective": "bogus"}):
+            with pytest.raises(ValueError):
+                curve(h_nonrobust, small_denoiser, val_ds.points[:5], val_ds.labels[:5], metric, **bad)
 
 
 def test_curve_csv_round_trip(tmp_path, h_nonrobust, small_denoiser, val_ds):

@@ -3,9 +3,6 @@ import pytest
 from scipy import stats
 
 from diffguide.synthdata import (
-    class_density,
-    load_dataset_csv,
-    log_class_density,
     make_spec,
     pooled_components,
     sample_class_points,
@@ -14,6 +11,8 @@ from diffguide.synthdata import (
     three_class_benchmark,
     two_class_benchmark,
 )
+
+from reference import accuracy, class_density, load_dataset_csv, log_class_density
 
 
 def _single_standard_normal(d):
@@ -132,7 +131,7 @@ def test_benchmark_specs_well_formed():
 
 def test_benchmark_bayes_error_below_1pct():
     # oracle error rate on a large fresh draw
-    from diffguide.classifier import accuracy, bayes_oracle
+    from diffguide.classifier import bayes_oracle
 
     spec = two_class_benchmark()
     ds = sample_dataset(spec, 50_000, 17)
