@@ -176,19 +176,28 @@ def _run_chains(
     dn: AnalyticDenoiser,
     schedule: Schedule,
     cfg: GuidanceConfig | None,
+    scales,
     n: int,
     seed: int,
     chain_indices=None,
-):
+) -> BatchResult:
+    """The chains at every guidance scale as one batch, scale-major: row
+    k * n + i is chain i at scales[k], with cfg's scale unused. Each chain
+    draws its noise once for all scales, and every part of a step is
+    row-invariant, so a row equals the same chain run alone at its scale."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     T, d = schedule.T, dn.dim
     if chain_indices is None:
         chain_indices = range(n)
-    x, zs = _pregenerate_noise(chain_indices, T, d, seed)
-    n = len(x)
-    diverged_t = np.full(n, -1, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
+    starts, zs = _pregenerate_noise(chain_indices, T, d, seed)
+    n, S = len(starts), len(scales)
+    x = np.tile(starts, (S, 1))
+    scale = np.repeat(np.asarray(scales, dtype=np.float64), n)[:, None]
+    diverged_t = np.full(S * n, -1, dtype=np.int64)
+    active = np.ones(S * n, dtype=bool)
     if cfg is not None:
-        state = init_stabilizer_state((n, d))
+        state = init_stabilizer_state(x.shape)
     with np.errstate(all="ignore"):
         for t in range(T, 0, -1):
             ab = schedule.alpha_bar(t)
@@ -200,12 +209,13 @@ def _run_chains(
             if cfg is not None:
                 g = guidance_gradient(cfg, dn, x, t, cfg.target_class, mean_x0, jac)
                 state, nu = stabilize(state, cfg.stabilizer, g)
-                shift = cfg.scale * schedule.sigma_sq(t) * nu
+                shift = scale * schedule.sigma_sq(t) * nu
             eps_hat = (x - sa * mean_x0) / np.sqrt(1.0 - ab)
             coeff_x, coeff_eps, sigma_sq = reverse_coefficients(schedule, t)
             x_next = coeff_x * x - coeff_eps * eps_hat
             if t > 1:
-                x_next += np.sqrt(sigma_sq) * zs[:, T - t]
+                # every scale's copy of a chain takes the chain's one draw
+                x_next = (x_next.reshape(S, n, d) + np.sqrt(sigma_sq) * zs[:, T - t]).reshape(S * n, d)
             if shift is not None:
                 x_next = x_next + shift
             bad = active & ~np.all(np.isfinite(x_next), axis=1)
@@ -232,13 +242,9 @@ def sample_batch(
     selects which substream indices to run (default 0..n-1), so a batch can
     be sharded or reordered without changing any chain's outcome.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _run_chains(dn, schedule, cfg, n, seed, chain_indices=chain_indices)
+    return _run_chains(dn, schedule, cfg, [cfg.scale], n, seed, chain_indices=chain_indices)
 
 
 def unconditional_batch(dn: AnalyticDenoiser, schedule: Schedule, n: int, seed: int) -> BatchResult:
     """Plain reverse-process sampling, same RNG layout as sample_batch."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _run_chains(dn, schedule, None, n, seed)
+    return _run_chains(dn, schedule, None, [0.0], n, seed)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import classifier as clf
-from .guidance import GuidanceConfig, sample_batch
+from .guidance import GuidanceConfig, _run_chains
 from .rng import substream
 from .synthdata import GmmSpec, sample_class_points, sample_labeled
 
@@ -130,33 +130,40 @@ def sweep(
 ) -> list[tuple[float, MetricsReport]]:
     """One sampled batch and report per guidance scale.
 
-    Every scale reuses the same sampling seed and the same evaluation seed,
-    so the scale is the only varying factor. A scale whose batch diverges
-    entirely still yields a row, with NaN metrics and a full diverged count.
+    All scales run as one batch through the sampler, the chains of each
+    scale drawing the same noise, and each scale's slice is scored alone
+    with the same evaluation seed, so the scale is the only varying factor.
+    A row equals sample_batch at that scale, bit for bit. A scale whose
+    batch diverges entirely still yields a row, with NaN metrics and a full
+    diverged count.
     """
-    if len(list(scales)) == 0:
+    # replace checks each scale as GuidanceConfig checks its own
+    scales = [replace(base_cfg, scale=float(s)).scale for s in scales]
+    if not scales:
         raise ValueError("scales must be nonempty")
+    batch = _run_chains(dn, schedule, base_cfg, scales, n_per_scale, seed)
+    # row k * n_per_scale + i of the batch is chain i at scales[k]
+    samples = batch.samples.reshape(len(scales), n_per_scale, dn.dim)
+    diverged = batch.diverged.reshape(len(scales), n_per_scale)
     rows = []
-    for s in scales:
-        cfg = replace(base_cfg, scale=float(s))
-        batch = sample_batch(dn, schedule, cfg, n_per_scale, seed)
-        kept = batch.kept()
+    for s, X, div in zip(scales, samples, diverged):
+        kept = X[~div]
         if len(kept) == 0:
             report = MetricsReport(
                 float("nan"), float("nan"), float("nan"), float("nan"),
-                0, batch.n_diverged, config_hash,
+                0, int(div.sum()), config_hash,
             )
         else:
             report = evaluate(
                 kept,
                 dn.spec,
-                cfg.target_class,
-                cfg.classifier,
+                base_cfg.target_class,
+                base_cfg.classifier,
                 seed=seed,
-                n_diverged=batch.n_diverged,
+                n_diverged=int(div.sum()),
                 config_hash=config_hash,
             )
-        rows.append((float(s), report))
+        rows.append((s, report))
     return rows
 
 

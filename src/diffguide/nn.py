@@ -20,6 +20,8 @@ _ACTIVATIONS = ("tanh", "softplus")
 _OBJECTIVES = ("log_softmax", "logit")
 # Adam moment decays and denominator offset used by train
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# input gradients: rows per matrix product, and blocks per stacked call
+_BLOCK, _CHUNK = 128, 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -125,25 +127,31 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
 
     objective "log_softmax" differentiates log p(y | x); "logit" differentiates
     the raw class-y logit. y is scalar or per-row for batched x.
+
+    The batch is zero-padded to whole blocks of _BLOCK rows and run _CHUNK
+    blocks at a time as stacked products, so every matrix product sees
+    exactly _BLOCK rows and a row's gradient does not depend on the rest of
+    the batch (BLAS results depend on the row count).
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
-    zs, acts = _forward_cached(model, X)
-    logits = acts[-1]
-    n, D = logits.shape
-    ys = np.full(n, y, dtype=np.int64) if np.ndim(y) == 0 else np.asarray(y, dtype=np.int64)
-    onehot = np.zeros((n, D))
-    onehot[np.arange(n), ys] = 1.0
-    if objective == "log_softmax":
-        p = np.exp(log_softmax(logits))
-        dlogits = onehot - p
-    else:
-        dlogits = onehot
-    grad = _backprop_input(model, zs, acts, dlogits)
-    return grad[0] if single else grad
+    n, d = X.shape
+    padded = n + (-n % _BLOCK)
+    X = np.concatenate([X, np.zeros((padded - n, d))])
+    onehot = np.zeros((padded, model.n_classes))  # padding rows' gradients are dropped
+    onehot[np.arange(n), np.asarray(y, dtype=np.int64)] = 1.0
+    grad = np.empty_like(X)
+    for lo in range(0, padded, _BLOCK * _CHUNK):
+        rows = slice(lo, lo + _BLOCK * _CHUNK)
+        zs, acts = _forward_cached(model, X[rows].reshape(-1, _BLOCK, d))
+        dlogits = onehot[rows].reshape(acts[-1].shape)
+        if objective == "log_softmax":
+            dlogits = dlogits - np.exp(log_softmax(acts[-1]))
+        grad[rows] = _backprop_input(model, zs, acts, dlogits).reshape(-1, d)
+    return grad[0] if single else grad[:n]
 
 
 def _parameter_gradients(model: MlpModel, X: np.ndarray, ys: np.ndarray):

@@ -61,8 +61,9 @@ def curve(
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}")
-    if metric == "stabilized_gradient" and stabilizer is None:
-        raise ValueError("stabilized_gradient needs a stabilizer config")
+    if (metric == "stabilized_gradient") != (stabilizer is not None):
+        # a curve labelled with a stabilizer must be the stabilized one
+        raise ValueError("a stabilizer config goes with stabilized_gradient and with no other metric")
     # the sampler's gradient recipe; each point's label replaces target_class
     recipe = GuidanceConfig(h, target_class=0, path=path, jacobian_mode=jacobian_mode, objective=objective)
     schedule = dn.schedule

@@ -314,6 +314,44 @@ def test_bad_stabilizer_flag_fails_closed(tmp_path, capsys, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("metric", ["gradient", "logit"])
+def test_stabilizer_for_an_unstabilized_metric_fails_closed(tmp_path, capsys, metric):
+    # a curve named and labelled after a stabilizer it never applied is refused
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, "guidance": {"classifier": "bayes_oracle"}}))
+    out = tmp_path / "run"
+    argv = ["sensitivity", "--metric", metric, "--stabilizer", '{"kind":"ema","beta":0.5}']
+    assert _run("--config", str(path), "--out", str(out), *argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not list(out.glob("sensitivity_*"))
+
+
+def _far_mixture(dist):
+    comps = [[{"weight": 1.0, "mean": [dist, 0.0], "cov": 0.1}], [{"weight": 1.0, "mean": [dist, 1.0], "cov": 0.1}]]
+    return {"data": {"classes": [{"prior": 0.5, "components": c} for c in comps]}}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"schedule": {"T": 40, "beta_start": 1e-4, "beta_end": 0.999999}},
+        {"schedule": {"T": 40, "beta_start": 1e-4, "beta_end": float(np.nextafter(1.0, 0.0))}},
+        _far_mixture(1e3),
+        _far_mixture(-1e3),
+    ],
+    ids=["beta-end-near-1", "beta-end-below-1-by-one-ulp", "means-1e3-from-origin", "means-minus-1e3-from-origin"],
+)
+def test_edge_configs_fail_closed(tmp_path, capsys, raw):
+    # chains start near the origin; these schedules and mixtures push them hard
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, **raw, "guidance": {"classifier": "bayes_oracle"}}))
+    for command in ("gen-data", "sample"):
+        assert _run("--config", str(path), "--out", str(tmp_path / "run"), command) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 _SWEEP_HEADER = "s,acc_oracle,acc_guiding,fd,cfd,n,n_diverged\n"
 
 

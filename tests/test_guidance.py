@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,32 @@ def test_chain_permutation_permutes_outputs(small_denoiser, small_schedule, h_no
     perm = [2, 0, 3, 1]
     shuffled = sample_batch(small_denoiser, small_schedule, cfg, 4, 31, chain_indices=perm)
     assert np.array_equal(shuffled.samples, base.samples[perm])
+
+
+def test_mlp_guided_batch_equals_reversed_uneven_shards(small_denoiser, small_schedule, h_nonrobust):
+    # the classifier's products must not make a chain depend on its batch;
+    # at 1000 rows plain BLAS products give other row results than at the
+    # shards' row counts
+    cfg = GuidanceConfig(
+        classifier=h_nonrobust, target_class=1, scale=4.0, path="x0pred", stabilizer=ema(0.99)
+    )
+    base = sample_batch(small_denoiser, small_schedule, cfg, 1000, 21)
+    order = list(range(999, -1, -1))
+    for lo, hi in ((0, 7), (7, 390), (390, 1000)):
+        part = sample_batch(small_denoiser, small_schedule, cfg, hi - lo, 21, chain_indices=order[lo:hi])
+        assert np.array_equal(part.samples, base.samples[order[lo:hi]])
+
+
+def test_multi_scale_batch_rows_equal_single_scale_batches(small_denoiser, small_schedule, h_nonrobust):
+    # one (scale, chain) batch, scale-major, against one batch per scale
+    cfg = GuidanceConfig(classifier=h_nonrobust, target_class=1, path="x0pred", stabilizer=ema(0.9))
+    scales = [0.0, 1.0, 5.0, 20.0]
+    joint = dg.guidance._run_chains(small_denoiser, small_schedule, cfg, scales, 30, 12)
+    for k, s in enumerate(scales):
+        alone = sample_batch(small_denoiser, small_schedule, replace(cfg, scale=s), 30, 12)
+        rows = slice(30 * k, 30 * (k + 1))
+        assert np.array_equal(joint.samples[rows], alone.samples)
+        assert np.array_equal(joint.diverged_t[rows], alone.diverged_t)
 
 
 def test_unguided_engine_matches_scalar_reverse_loop(small_denoiser, small_schedule):

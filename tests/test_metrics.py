@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
 import diffguide as dg
 from diffguide.classifier import bayes_oracle, predict_logits
-from diffguide.guidance import GuidanceConfig, ema
+from diffguide.guidance import GuidanceConfig, ema, sample_batch
 from diffguide.metrics import (
     EmptyBatchError,
     MetricsReport,
@@ -16,6 +18,8 @@ from diffguide.metrics import (
     sweep,
 )
 from diffguide.synthdata import sample_class_points, sample_dataset
+
+from test_classifier import _spec3
 
 
 def test_identical_sets_zero(val_ds):
@@ -127,6 +131,39 @@ def test_sweep_zero_scale_reproduces_unconditional(small_denoiser, small_schedul
     plain = dg.unconditional_batch(small_denoiser, small_schedule, 80, 4)
     rep = evaluate(plain.samples, small_denoiser.spec, 0, h_oracle, seed=4)
     assert rows[0][1].to_json() == rep.to_json()
+
+
+def _per_scale_rows(dn, cfg, scales, n, seed):
+    """The sweep written as one sample_batch and one evaluate per scale."""
+    rows = []
+    for s in scales:
+        batch = sample_batch(dn, dn.schedule, replace(cfg, scale=s), n, seed)
+        rep = evaluate(batch.kept(), dn.spec, cfg.target_class, cfg.classifier, seed=seed, n_diverged=batch.n_diverged)
+        rows.append((s, rep.to_json()))
+    return rows
+
+
+def test_sweep_rows_equal_per_scale_loop_mlp(small_denoiser, h_nonrobust):
+    cfg = GuidanceConfig(classifier=h_nonrobust, target_class=1, path="x0pred", stabilizer=ema(0.99))
+    scales = [0.0, 1.0, 5.0, 20.0]
+    got = [(s, rep.to_json()) for s, rep in sweep(small_denoiser, small_denoiser.schedule, cfg, scales, 40, seed=6)]
+    assert got == _per_scale_rows(small_denoiser, cfg, scales, 40, 6)
+
+
+@pytest.mark.parametrize(
+    "path, scales",
+    [("raw", [0.0, 5.0, 1300.0]), ("x0pred", [0.0, 5.0, 50.0])],
+    ids=["raw-some-chains-diverge", "x0pred-full-jacobian"],
+)
+def test_sweep_rows_equal_per_scale_loop_oracle_3d_full_cov(small_schedule, path, scales):
+    spec = _spec3()
+    dn = dg.AnalyticDenoiser(spec, small_schedule)
+    cfg = GuidanceConfig(classifier=bayes_oracle(spec), target_class=1, path=path)
+    rows = sweep(dn, small_schedule, cfg, scales, 50, seed=3)
+    assert [(s, rep.to_json()) for s, rep in rows] == _per_scale_rows(dn, cfg, scales, 50, 3)
+    if path == "raw":
+        # at scale 1300 some chains overflow and some do not
+        assert 0 < rows[-1][1].n_diverged < 50
 
 
 def test_sweep_all_diverged_rows_reported(small_denoiser, small_schedule, h_oracle):

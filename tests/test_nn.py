@@ -150,6 +150,23 @@ def test_input_gradient_batch_matches_single():
         np.testing.assert_allclose(batch[i], input_gradient(m, X[i], ys[i]), atol=1e-14)
 
 
+@pytest.mark.parametrize("objective", ["log_softmax", "logit"])
+def test_input_gradient_rows_are_subset_invariant(objective):
+    # a row's gradient is the same bits in any batch that holds it: whole,
+    # in shards of any size, reordered, or alone
+    rng = np.random.default_rng(14)
+    m = init_mlp([2, 64, 64, 2], seed=15)
+    X = rng.standard_normal((1000, 2)) * 2.0
+    ys = rng.integers(0, 2, 1000)
+    whole = input_gradient(m, X, ys, objective)
+    for size in (1, 7, 64, 128, 250, 333):
+        shards = [input_gradient(m, X[i : i + size], ys[i : i + size], objective) for i in range(0, 1000, size)]
+        assert np.array_equal(np.concatenate(shards), whole), size
+    subset = rng.permutation(1000)[:300]
+    assert np.array_equal(input_gradient(m, X[subset], ys[subset], objective), whole[subset])
+    assert np.array_equal(input_gradient(m, X[17], ys[17], objective), whole[17])
+
+
 def test_train_reaches_high_accuracy(model_nonrobust, train_ds, h_nonrobust):
     acc = accuracy(h_nonrobust, train_ds.points, train_ds.labels)
     assert acc >= 0.99
