@@ -72,17 +72,25 @@ def _oracle_pass(h: ClassifierHandle, X: np.ndarray):
     the pooled components at clean data. Class c's logit is the log-sum-exp,
     shifted by its own max so that far points do not underflow, of its
     components' log joints log(prior_c w_k N(x; mu_k, Sigma_k)); its gradient
-    is their responsibility-weighted sum of component scores."""
+    is their responsibility-weighted sum of component scores. Where every
+    component of a class underflows (log joints all -inf, as at points
+    beyond about 1e154), the class's logit is -inf and its gradient 0."""
     tb = h.spec.clean_tables
     proj, log_joint = tb.log_joint(X, 0)  # (d, K, n), (K, n)
     score = tb.score(proj, 0)
-    logits, grads, lo = [], [], 0
+    peaks, logits, grads, lo = [], [], [], 0
     for cls in h.spec.classes:
         hi = lo + len(cls.components)
         m = np.max(log_joint[lo:hi], axis=0)
         e = np.exp(log_joint[lo:hi] - m)
         total = _ordered_sum(e, axis=0)
+        peaks.append(m)
         logits.append(m + np.log(total))
         grads.append(_ordered_sum(e / total * score[:, lo:hi], axis=1))
         lo = hi
-    return np.stack(logits), np.stack(grads)
+    logits, grads = np.stack(logits), np.stack(grads)
+    gone = np.stack(peaks) == -np.inf  # there -inf - -inf gave NaN above
+    if gone.any():
+        logits[gone] = -np.inf
+        grads.transpose(0, 2, 1)[gone] = 0.0
+    return logits, grads

@@ -184,7 +184,13 @@ def _run_chains(
     """The chains at every guidance scale as one batch, scale-major: row
     k * n + i is chain i at scales[k], with cfg's scale unused. Each chain
     draws its noise once for all scales, and every part of a step is
-    row-invariant, so a row equals the same chain run alone at its scale."""
+    row-invariant, so a row equals the same chain run alone at its scale.
+
+    Only rows with a non-zero scale are guided: they alone go through
+    guidance_gradient and the stabilizer, whose state holds just them, and
+    take the shift. A scale-0 row is the unguided chain by construction,
+    whatever the classifier returns. The posterior pass runs once per step
+    on every row."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     T, d = schedule.T, dn.dim
@@ -193,11 +199,19 @@ def _run_chains(
     starts, zs = _pregenerate_noise(chain_indices, T, d, seed)
     n, S = len(starts), len(scales)
     x = np.tile(starts, (S, 1))
-    scale = np.repeat(np.asarray(scales, dtype=np.float64), n)[:, None]
+    scale = np.repeat(np.asarray(scales, dtype=np.float64), n)
     diverged_t = np.full(S * n, -1, dtype=np.int64)
     active = np.ones(S * n, dtype=bool)
+    guided = np.flatnonzero(scale) if cfg is not None else []
+    if len(guided) == 0:
+        cfg = None  # nothing to guide: the unguided sampler
+    elif guided[-1] - guided[0] == len(guided) - 1:
+        # contiguous rows, as when every row is guided or only a leading
+        # scale is 0: index with a slice, whose views copy no rows
+        guided = slice(guided[0], guided[-1] + 1)
     if cfg is not None:
-        state = init_stabilizer_state(x.shape)
+        scale = scale[guided][:, None]
+        state = init_stabilizer_state((len(scale), d))
     with np.errstate(all="ignore"):
         for t in range(T, 0, -1):
             ab = schedule.alpha_bar(t)
@@ -205,9 +219,10 @@ def _run_chains(
             # one posterior pass feeds the guidance gradient and the reverse
             # step's noise prediction
             mean_x0, jac = dn._bundle(x, t, with_jacobian=cfg is not None and cfg.needs_jacobian)
-            shift = None
             if cfg is not None:
-                g = guidance_gradient(cfg, dn, x, t, cfg.target_class, mean_x0, jac)
+                g = guidance_gradient(
+                    cfg, dn, x[guided], t, cfg.target_class, mean_x0[guided], None if jac is None else jac[guided]
+                )
                 state, nu = stabilize(state, cfg.stabilizer, g)
                 shift = scale * schedule.sigma_sq(t) * nu
             eps_hat = (x - sa * mean_x0) / np.sqrt(1.0 - ab)
@@ -216,8 +231,8 @@ def _run_chains(
             if t > 1:
                 # every scale's copy of a chain takes the chain's one draw
                 x_next = (x_next.reshape(S, n, d) + np.sqrt(sigma_sq) * zs[:, T - t]).reshape(S * n, d)
-            if shift is not None:
-                x_next = x_next + shift
+            if cfg is not None:
+                x_next[guided] += shift
             bad = active & ~np.all(np.isfinite(x_next), axis=1)
             if np.any(bad):
                 diverged_t[bad] = t

@@ -42,11 +42,14 @@ def gaussian_frechet(mu_a, cov_a, mu_b, cov_b) -> float:
 
     The cross term uses the symmetric square root (A^{1/2} B A^{1/2})^{1/2}
     via eigendecomposition, which is well-defined for any symmetric PSD pair.
+    A covariance that overflowed (points beyond about 1e153) is infinitely far.
     """
     mu_a = np.asarray(mu_a, dtype=np.float64)
     mu_b = np.asarray(mu_b, dtype=np.float64)
     cov_a = np.asarray(cov_a, dtype=np.float64)
     cov_b = np.asarray(cov_b, dtype=np.float64)
+    if not (np.all(np.isfinite(cov_a)) and np.all(np.isfinite(cov_b))):
+        return float("inf")
     root_a = _sym_sqrt(cov_a)
     cross = _sym_sqrt(root_a @ cov_b @ root_a)
     d2 = float(np.sum((mu_a - mu_b) ** 2) + np.trace(cov_a + cov_b - 2.0 * cross))
@@ -105,11 +108,12 @@ def evaluate(
     pooled_ref, _ = sample_labeled(spec, len(X), rng)
     class_ref = sample_class_points(spec, target_class, len(X), rng)
 
-    oracle = clf.bayes_oracle(spec)
-    pred_oracle = np.argmax(clf.predict_logits(oracle, X), axis=1)
+    oracle_logits = clf.predict_logits(clf.bayes_oracle(spec), X)
+    # a row with no finite oracle logit has no Bayes class: a miss
+    hit_oracle = (np.argmax(oracle_logits, axis=1) == target_class) & np.any(np.isfinite(oracle_logits), axis=1)
     pred_guiding = np.argmax(clf.predict_logits(guiding, X), axis=1)
     return MetricsReport(
-        target_accuracy_oracle=float(np.mean(pred_oracle == target_class)),
+        target_accuracy_oracle=float(np.mean(hit_oracle)),
         target_accuracy_guiding=float(np.mean(pred_guiding == target_class)),
         fd=frechet_distance(X, pooled_ref),
         cfd=frechet_distance(X, class_ref),

@@ -62,29 +62,40 @@ def init_mlp(layer_sizes: list[int], activation: str = "tanh", seed: int = 0) ->
     return MlpModel(tuple(weights), tuple(biases), activation)
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(z)
-    return np.logaddexp(0.0, z)  # softplus
-
-
-def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return 1.0 - a * a
-    return 1.0 / (1.0 + np.exp(-z))  # sigmoid
-
-
 def _forward_cached(model: MlpModel, X: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
-    zs, acts = [], [X]
-    a = X
-    n_layers = len(model.weights)
+    """Forward pass keeping what backprop reads: each layer's input (acts,
+    ending with the logits) and, for softplus only, the hidden
+    pre-activations, which its derivative reads. Each product's buffer takes
+    the bias and, for tanh, the activation in place."""
+    pre, acts = [], [X]
+    last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ W + b
-        zs.append(z)
-        a = _act(z, model.activation) if i < n_layers - 1 else z
-        acts.append(a)
-    return zs, acts
+        z = np.matmul(acts[-1], W)
+        z += b
+        if i < last:
+            if model.activation == "tanh":
+                np.tanh(z, out=z)
+            else:
+                pre.append(z)
+                z = np.logaddexp(0.0, z)
+        acts.append(z)
+    return pre, acts
+
+
+def _derivative_in_place(model: MlpModel, pre, acts, i: int) -> np.ndarray:
+    """Overwrite the hidden activation acts[i] with the activation's
+    derivative there: 1 - a*a for tanh, sigmoid(z) = 1 / (1 + exp(-z)) for
+    softplus. Backprop reads acts[i] for nothing else after this."""
+    g = acts[i]
+    if model.activation == "tanh":
+        np.multiply(g, g, out=g)
+        np.subtract(1.0, g, out=g)
+    else:
+        np.negative(pre[i - 1], out=g)
+        np.exp(g, out=g)
+        g += 1.0
+        np.divide(1.0, g, out=g)
+    return g
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
@@ -113,15 +124,6 @@ def log_softmax_target(logits, y) -> np.ndarray | float:
     return np.take_along_axis(ls, np.asarray(y).reshape(-1, 1), axis=1)[:, 0]
 
 
-def _backprop_input(model: MlpModel, zs, acts, dlogits: np.ndarray) -> np.ndarray:
-    delta = dlogits
-    for i in range(len(model.weights) - 1, -1, -1):
-        dx = delta @ model.weights[i].T
-        if i > 0:
-            delta = dx * _act_grad(zs[i - 1], acts[i], model.activation)
-    return dx
-
-
 def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.ndarray:
     """Gradient of the target-class objective with respect to the input.
 
@@ -131,7 +133,9 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     The batch is zero-padded to whole blocks of _BLOCK rows and run _CHUNK
     blocks at a time as stacked products, so every matrix product sees
     exactly _BLOCK rows and a row's gradient does not depend on the rest of
-    the batch (BLAS results depend on the row count).
+    the batch (BLAS results depend on the row count). Each chunk runs in
+    place: a hidden layer's product buffer takes its bias, then its
+    activation, then in backprop the activation's derivative.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
@@ -146,17 +150,21 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     grad = np.empty_like(X)
     for lo in range(0, padded, _BLOCK * _CHUNK):
         rows = slice(lo, lo + _BLOCK * _CHUNK)
-        zs, acts = _forward_cached(model, X[rows].reshape(-1, _BLOCK, d))
-        dlogits = onehot[rows].reshape(acts[-1].shape)
+        pre, acts = _forward_cached(model, X[rows].reshape(-1, _BLOCK, d))
+        delta = onehot[rows].reshape(acts[-1].shape)
         if objective == "log_softmax":
-            dlogits = dlogits - np.exp(log_softmax(acts[-1]))
-        grad[rows] = _backprop_input(model, zs, acts, dlogits).reshape(-1, d)
+            delta = delta - np.exp(log_softmax(acts[-1]))
+        for i in range(len(model.weights) - 1, 0, -1):
+            delta = np.matmul(delta, model.weights[i].T)
+            delta *= _derivative_in_place(model, pre, acts, i)
+        np.matmul(delta, model.weights[0].T, out=grad[rows].reshape(-1, _BLOCK, d))
     return grad[0] if single else grad[:n]
 
 
-def _parameter_gradients(model: MlpModel, X: np.ndarray, ys: np.ndarray):
-    """Mean cross-entropy loss and its parameter gradients over a batch."""
-    zs, acts = _forward_cached(model, X)
+def _parameter_gradients(model: MlpModel, X: np.ndarray, ys: np.ndarray, dWs, dbs) -> float:
+    """Mean cross-entropy loss over a batch; its parameter gradients are
+    written into dWs and dbs, arrays shaped like the weights and biases."""
+    pre, acts = _forward_cached(model, X)
     logits = acts[-1]
     n, D = logits.shape
     ls = log_softmax(logits)
@@ -165,15 +173,23 @@ def _parameter_gradients(model: MlpModel, X: np.ndarray, ys: np.ndarray):
     delta = p.copy()
     delta[np.arange(n), ys] -= 1.0
     delta /= n
-    dWs = [None] * len(model.weights)
-    dbs = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
-        dWs[i] = acts[i].T @ delta
-        dbs[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=dWs[i])
+        np.sum(delta, axis=0, out=dbs[i])
         if i > 0:
-            dx = delta @ model.weights[i].T
-            delta = dx * _act_grad(zs[i - 1], acts[i], model.activation)
-    return loss, dWs, dbs
+            delta = np.matmul(delta, model.weights[i].T)
+            delta *= _derivative_in_place(model, pre, acts, i)
+    return loss
+
+
+def _flat_views(flat: np.ndarray, model: MlpModel):
+    """Views of a flat vector shaped like model's weights, then its biases."""
+    views, lo = [], 0
+    for p in model.weights + model.biases:
+        views.append(flat[lo : lo + p.size].reshape(p.shape))
+        lo += p.size
+    k = len(model.weights)
+    return tuple(views[:k]), tuple(views[k:])
 
 
 @dataclass
@@ -217,12 +233,13 @@ def train(
     shuffle_rng, noise_rng = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     ]
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    # parameters, gradients and Adam moments are flat vectors, so one update
+    # is a few in-place passes; weights and biases are views into them
+    params = np.concatenate([p.ravel() for p in model.weights + model.biases])
+    current = MlpModel(*_flat_views(params, model), model.activation)
+    grads = np.empty_like(params)
+    dWs, dbs = _flat_views(grads, model)
+    m, v, num, den = (np.zeros_like(params) for _ in range(4))
     step = 0
     losses = []
     if schedule is not None:
@@ -240,8 +257,7 @@ def train(
                 eps = noise_rng.standard_normal(xb.shape)
                 ab = abar_table[t][:, None]
                 xb = np.sqrt(ab) * xb + np.sqrt(1.0 - ab) * eps
-            current = MlpModel(tuple(weights), tuple(biases), model.activation)
-            loss, dWs, dbs = _parameter_gradients(current, xb, yb)
+            loss = _parameter_gradients(current, xb, yb, dWs, dbs)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at step {step}; lower the learning rate"
@@ -249,17 +265,28 @@ def train(
             step += 1
             corr1 = 1.0 - _BETA1**step
             corr2 = 1.0 - _BETA2**step
-            for i in range(len(weights)):
-                m_w[i] = _BETA1 * m_w[i] + (1.0 - _BETA1) * dWs[i]
-                v_w[i] = _BETA2 * v_w[i] + (1.0 - _BETA2) * dWs[i] ** 2
-                weights[i] -= lr * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + _ADAM_EPS)
-                m_b[i] = _BETA1 * m_b[i] + (1.0 - _BETA1) * dbs[i]
-                v_b[i] = _BETA2 * v_b[i] + (1.0 - _BETA2) * dbs[i] ** 2
-                biases[i] -= lr * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + _ADAM_EPS)
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2 and
+            # w -= lr (m / corr1) / (sqrt(v / corr2) + eps), operation for operation
+            m *= _BETA1
+            np.multiply(1.0 - _BETA1, grads, out=num)
+            m += num
+            v *= _BETA2
+            np.multiply(grads, grads, out=den)
+            den *= 1.0 - _BETA2
+            v += den
+            np.divide(m, corr1, out=num)
+            num *= lr
+            np.divide(v, corr2, out=den)
+            np.sqrt(den, out=den)
+            den += _ADAM_EPS
+            num /= den
+            params -= num
             epoch_losses.append(loss)
         losses.append(float(np.mean(epoch_losses)))
 
-    trained = MlpModel(tuple(w.copy() for w in weights), tuple(b.copy() for b in biases), model.activation)
+    trained = MlpModel(
+        tuple(w.copy() for w in current.weights), tuple(b.copy() for b in current.biases), model.activation
+    )
     for arr in trained.weights + trained.biases:
         arr.setflags(write=False)
     if not all(np.all(np.isfinite(w)) for w in trained.weights):

@@ -4,7 +4,8 @@ None of these runs in the pipeline. Each is a separate, literal
 implementation of a quantity the package computes another way: the implied
 noise prediction and one-step reverse transition written from the DDPM
 formulas, single-pair sensitivity ratios, class densities summed component by
-component, and classifier accuracy under forward noise. `guided_gradient`
+component, the MLP input gradient as a plain forward pass and backprop per
+block, and classifier accuracy under forward noise. `guided_gradient`
 and `jacobian` are thin conveniences over the pipeline's own posterior pass
 and gradient recipe, for tests that need one point at a time.
 """
@@ -16,6 +17,7 @@ import numpy as np
 from diffguide.classifier import ClassifierHandle, predict_logits
 from diffguide.denoiser import AnalyticDenoiser
 from diffguide.guidance import GuidanceConfig, guidance_gradient
+from diffguide.nn import MlpModel, log_softmax
 from diffguide.schedule import Schedule, forward_sample, reverse_coefficients
 from diffguide.synthdata import GmmSpec, LabeledDataset, _check_class, as_batch
 
@@ -167,6 +169,44 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 # -- classifiers and data files ----------------------------------------------------
+
+
+def mlp_input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.ndarray:
+    """Input gradient of the class-y objective, one zero-padded 128-row block
+    at a time: a plain forward pass keeping every pre-activation and
+    activation, then a plain backprop, each product on exactly 128 rows."""
+    block = 128
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n, d = X.shape
+    ys = np.broadcast_to(np.asarray(y, dtype=np.int64), (n,))
+    out = np.empty((n, d))
+    hidden = len(model.weights) - 1
+    for lo in range(0, n, block):
+        m = min(block, n - lo)
+        xb = np.zeros((block, d))
+        xb[:m] = X[lo : lo + m]
+        zs, acts = [], [xb]
+        for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+            z = acts[-1] @ W + b
+            zs.append(z)
+            if i < hidden:
+                acts.append(np.tanh(z) if model.activation == "tanh" else np.logaddexp(0.0, z))
+            else:
+                acts.append(z)
+        delta = np.zeros((block, model.n_classes))
+        delta[np.arange(m), ys[lo : lo + m]] = 1.0
+        if objective == "log_softmax":
+            delta = delta - np.exp(log_softmax(acts[-1]))
+        for i in range(hidden, -1, -1):
+            dx = delta @ model.weights[i].T
+            if i > 0:
+                if model.activation == "tanh":
+                    deriv = 1.0 - acts[i] * acts[i]
+                else:
+                    deriv = 1.0 / (1.0 + np.exp(-zs[i - 1]))
+                delta = dx * deriv
+        out[lo : lo + m] = dx[:m]
+    return out
 
 
 def accuracy(

@@ -5,7 +5,7 @@ from scipy.stats import multivariate_normal
 from diffguide.classifier import bayes_oracle, input_gradient, predict_logits
 from diffguide.nn import log_softmax, log_softmax_target
 from diffguide.schedule import schedule_from_betas
-from diffguide.synthdata import make_spec, sample_dataset, three_class_benchmark
+from diffguide.synthdata import make_spec, sample_dataset, three_class_benchmark, two_class_benchmark
 
 from conftest import binomial_3sigma
 from reference import accuracy, class_density, log_class_density
@@ -188,6 +188,16 @@ def test_oracle_finite_far_from_every_component(objective):
             assert np.all(np.isfinite(predict_logits(h, X)))
             for y in range(spec.n_classes):
                 assert np.all(np.isfinite(input_gradient(h, X, y, objective)))
+
+
+def test_oracle_beyond_squared_distance_overflow_has_no_nan():
+    # beyond about 1e154 every log joint is -inf: each class's logit is -inf
+    # and its logit gradient 0, where the per-class shift once gave NaN
+    h = bayes_oracle(two_class_benchmark())
+    X = np.array([[1e155, 0.0]])
+    assert np.all(predict_logits(h, X) == -np.inf)
+    for y in range(2):
+        assert np.array_equal(input_gradient(h, X, y, "logit"), np.zeros((1, 2)))
 
 
 def test_oracle_logit_gradient_for_one_component_class_is_the_score():

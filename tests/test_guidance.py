@@ -177,6 +177,37 @@ def test_scale_zero_bit_identical_to_unguided(small_denoiser, small_schedule, h_
         assert np.array_equal(guided.samples, plain.samples)
 
 
+def test_scale_zero_never_reaches_a_nan_classifier(small_denoiser, small_schedule, h_nonrobust):
+    # a NaN output weight makes every guidance gradient NaN; at scale 0 the
+    # chains are still the unguided ones
+    weights = list(h_nonrobust.model.weights)
+    weights[-1] = weights[-1].copy()
+    weights[-1][0, 0] = np.nan
+    h_nan = dg.non_robust(replace(h_nonrobust.model, weights=tuple(weights)))
+    plain = unconditional_batch(small_denoiser, small_schedule, 8, 77)
+    for path in ("raw", "x0pred"):
+        cfg = GuidanceConfig(classifier=h_nan, target_class=1, scale=0.0, path=path, stabilizer=ema(0.9))
+        guided = sample_batch(small_denoiser, small_schedule, cfg, 8, 77)
+        assert guided.n_diverged == 0
+        assert np.array_equal(guided.samples, plain.samples)
+
+
+def test_scale_zero_rows_skip_the_classifier(small_denoiser, small_schedule, h_nonrobust, monkeypatch):
+    rows = []
+    gradient = dg.classifier.input_gradient
+
+    def counted(h, X, *args):
+        rows.append(len(X))
+        return gradient(h, X, *args)
+
+    monkeypatch.setattr(dg.classifier, "input_gradient", counted)
+    cfg = GuidanceConfig(classifier=h_nonrobust, target_class=1, path="x0pred", stabilizer=ema(0.9))
+    for scales in ([0.0, 1.0, 5.0], [1.0, 0.0, 5.0]):
+        rows.clear()
+        dg.guidance._run_chains(small_denoiser, small_schedule, cfg, scales, 6, 12)
+        assert rows == [12] * small_schedule.T
+
+
 def test_single_chain_equals_batch_row_zero(small_denoiser, small_schedule, h_nonrobust):
     cfg = GuidanceConfig(
         classifier=h_nonrobust, target_class=1, scale=4.0, path="x0pred", stabilizer=ema(0.99)
@@ -210,14 +241,15 @@ def test_mlp_guided_batch_equals_reversed_uneven_shards(small_denoiser, small_sc
 
 def test_multi_scale_batch_rows_equal_single_scale_batches(small_denoiser, small_schedule, h_nonrobust):
     # one (scale, chain) batch, scale-major, against one batch per scale
+    # the guided rows are a slice of the batch in the first case and not in the second
     cfg = GuidanceConfig(classifier=h_nonrobust, target_class=1, path="x0pred", stabilizer=ema(0.9))
-    scales = [0.0, 1.0, 5.0, 20.0]
-    joint = dg.guidance._run_chains(small_denoiser, small_schedule, cfg, scales, 30, 12)
-    for k, s in enumerate(scales):
-        alone = sample_batch(small_denoiser, small_schedule, replace(cfg, scale=s), 30, 12)
-        rows = slice(30 * k, 30 * (k + 1))
-        assert np.array_equal(joint.samples[rows], alone.samples)
-        assert np.array_equal(joint.diverged_t[rows], alone.diverged_t)
+    for scales in ([0.0, 1.0, 5.0, 20.0], [1.0, 0.0, 5.0, 20.0]):
+        joint = dg.guidance._run_chains(small_denoiser, small_schedule, cfg, scales, 30, 12)
+        for k, s in enumerate(scales):
+            alone = sample_batch(small_denoiser, small_schedule, replace(cfg, scale=s), 30, 12)
+            rows = slice(30 * k, 30 * (k + 1))
+            assert np.array_equal(joint.samples[rows], alone.samples)
+            assert np.array_equal(joint.diverged_t[rows], alone.diverged_t)
 
 
 def test_unguided_engine_matches_scalar_reverse_loop(small_denoiser, small_schedule):

@@ -80,6 +80,13 @@ def test_point_mass_regularized():
     assert np.isfinite(d) and d > 10.0
 
 
+def test_frechet_of_an_overflowing_covariance_is_infinite():
+    # squared spreads near 1e307 sum past the largest double
+    far = np.random.default_rng(1).uniform(-8e153, 8e153, (50, 3))
+    near = np.random.default_rng(0).standard_normal((50, 3))
+    assert frechet_distance(far, near) == np.inf
+
+
 def test_evaluate_class_conditional_samples(spec2, h_oracle):
     samples = sample_class_points(spec2, 1, 2000, np.random.default_rng(7))
     rep = evaluate(samples, spec2, 1, h_oracle, seed=11)
@@ -102,6 +109,12 @@ def test_evaluate_deterministic(spec2, h_oracle):
     a = evaluate(samples, spec2, 0, h_oracle, seed=3)
     b = evaluate(samples, spec2, 0, h_oracle, seed=3)
     assert a.to_json() == b.to_json()
+
+
+def test_evaluate_counts_a_row_without_finite_oracle_logits_as_a_miss(spec2, h_oracle):
+    # at 1e155 every oracle logit is -inf; argmax would name class 0
+    rep = evaluate(np.array([[1e155, 0.0]] * 3), spec2, 0, h_oracle, seed=0)
+    assert rep.target_accuracy_oracle == 0.0
 
 
 def test_evaluate_empty_errors(spec2, h_oracle):

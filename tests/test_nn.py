@@ -15,7 +15,7 @@ from diffguide.nn import (
 )
 from diffguide.schedule import schedule_from_betas
 
-from reference import accuracy
+from reference import accuracy, mlp_input_gradient
 
 
 def _zero_model(sizes):
@@ -165,6 +165,18 @@ def test_input_gradient_rows_are_subset_invariant(objective):
     subset = rng.permutation(1000)[:300]
     assert np.array_equal(input_gradient(m, X[subset], ys[subset], objective), whole[subset])
     assert np.array_equal(input_gradient(m, X[17], ys[17], objective), whole[17])
+
+
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@pytest.mark.parametrize("objective", ["log_softmax", "logit"])
+def test_input_gradient_equals_per_block_reference(activation, objective):
+    # the in-place stacked pass keeps every bit of a plain per-block pass
+    rng = np.random.default_rng(31)
+    m = init_mlp([2, 64, 64, 2], activation, seed=32)
+    for n in (1, 128, 250, 1000, 16000):
+        X = rng.standard_normal((n, 2)) * 2.0
+        ys = rng.integers(0, 2, n)
+        assert np.array_equal(input_gradient(m, X, ys, objective), mlp_input_gradient(m, X, ys, objective)), n
 
 
 def test_train_reaches_high_accuracy(model_nonrobust, train_ds, h_nonrobust):
