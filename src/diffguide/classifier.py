@@ -61,9 +61,11 @@ def input_gradient(h: ClassifierHandle, x, y, objective: str = "log_softmax") ->
     logits, grads = _oracle_pass(h, X)  # (C, n), (C, d, n)
     out = grads[ys, :, np.arange(n)]  # gradient of the class-y logit, (n, d)
     if objective != "logit":
-        e = np.exp(logits - np.max(logits, axis=0))
+        peak = np.max(logits, axis=0)
+        e = np.exp(logits - peak)
         p = e / _ordered_sum(e, axis=0)  # (C, n) class posteriors
         out = np.ascontiguousarray(out - _ordered_sum(p[:, None] * grads, axis=0).T)
+        out[peak == -np.inf] = 0.0  # no finite class logit: -inf - -inf gave NaN above
     return out[0] if single else out
 
 

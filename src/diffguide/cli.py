@@ -22,6 +22,7 @@ from . import guidance as gd
 from . import metrics as mtr
 from . import nn
 from . import sensitivity as sens
+from .artifacts import write_csv
 from .denoiser import AnalyticDenoiser
 from .rng import substream_seed
 from .schedule import linear_schedule
@@ -44,57 +45,40 @@ EXIT_CONFIG = 1
 EXIT_ALL_DIVERGED = 2
 
 
-def default_config() -> dict:
-    """Built-in experiment: 2-D two-class benchmark, 400-step linear schedule."""
+# Every config field with its default. A leaf is a default value, whose type
+# is the field's type (a float default accepts any JSON number), or a bare
+# type for an optional field with no default.
+_CONFIG = {
+    "seed": 2024,
+    "schedule": {"T": 400, "beta_start": 1e-4, "beta_end": 0.02, "posterior_variance_mode": "beta_t"},
+    "data": {"preset": "two_class", "classes": list, "n_train": 4000, "n_val": 2000},
+    "train": {"hidden": [64, 64], "activation": "tanh", "epochs": 40, "batch_size": 128, "lr": 0.01},
+    "guidance": {
+        "classifier": "non_robust",
+        "target_class": 1,
+        "scale": 2.0,
+        "path": "x0pred",
+        "jacobian_mode": "full",
+        "objective": "log_softmax",
+        "stabilizer": {"kind": "ema", "beta": 0.99, "beta1": float, "beta2": float, "eps": float},
+    },
+    "sample": {"n": 2000},
+    "sensitivity": {"n": 500},
+    "sweep": {"scales": [0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0], "n_per_scale": 2000},
+}
+
+
+def _defaults(tree: dict) -> dict:
     return {
-        "seed": 2024,
-        "schedule": {
-            "T": 400,
-            "beta_start": 1e-4,
-            "beta_end": 0.02,
-            "posterior_variance_mode": "beta_t",
-        },
-        "data": {"preset": "two_class", "n_train": 4000, "n_val": 2000},
-        "train": {
-            "hidden": [64, 64],
-            "activation": "tanh",
-            "epochs": 40,
-            "batch_size": 128,
-            "lr": 0.01,
-        },
-        "guidance": {
-            "classifier": "non_robust",
-            "target_class": 1,
-            "scale": 2.0,
-            "path": "x0pred",
-            "jacobian_mode": "full",
-            "objective": "log_softmax",
-            "stabilizer": {"kind": "ema", "beta": 0.99},
-        },
-        "sample": {"n": 2000},
-        "sensitivity": {"n": 500},
-        "sweep": {"scales": [0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0], "n_per_scale": 2000},
+        key: _defaults(val) if isinstance(val, dict) else copy.deepcopy(val)
+        for key, val in tree.items()
+        if not isinstance(val, type)
     }
 
 
-_SCHEMA = {
-    "seed": int,
-    "schedule": {"T": int, "beta_start": float, "beta_end": float, "posterior_variance_mode": str},
-    "data": {"preset": str, "classes": list, "n_train": int, "n_val": int},
-    "train": {"hidden": list, "activation": str, "epochs": int, "batch_size": int, "lr": float},
-    "guidance": {
-        "classifier": str,
-        "target_class": int,
-        "scale": float,
-        "path": str,
-        "jacobian_mode": str,
-        "objective": str,
-        "stabilizer": {"kind": str, "beta": float, "beta1": float, "beta2": float, "eps": float},
-    },
-    "sample": {"n": int},
-    "sensitivity": {"n": int},
-    "sweep": {"scales": list, "n_per_scale": int},
-}
+def default_config() -> dict:
+    """Built-in experiment: 2-D two-class benchmark, 400-step linear schedule."""
+    return _defaults(_CONFIG)
 
 
 def _is_number(val) -> bool:
@@ -105,20 +89,21 @@ def _is_number_list(val) -> bool:
     return isinstance(val, list) and all(map(_is_number, val))
 
 
-def _check_keys(node, schema, where: str) -> None:
+def _check_keys(node, tree, where: str) -> None:
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected an object")
     for key, val in node.items():
-        if key not in schema:
+        if key not in tree:
             raise ConfigError(f"{where}: unknown field {key!r}")
-        sub = schema[key]
-        if isinstance(sub, dict):
+        sub = tree[key]
+        kind = sub if isinstance(sub, type) else type(sub)
+        if kind is dict:
             _check_keys(val, sub, f"{where}.{key}")
-        elif sub is float:
+        elif kind is float:
             if not _is_number(val):
                 raise ConfigError(f"{where}.{key}: expected a number")
-        elif not isinstance(val, sub) or isinstance(val, bool):
-            raise ConfigError(f"{where}.{key}: expected {sub.__name__}")
+        elif not isinstance(val, kind) or isinstance(val, bool):
+            raise ConfigError(f"{where}.{key}: expected {kind.__name__}")
 
 
 def _check_classes(classes: list) -> None:
@@ -152,25 +137,19 @@ def validate_config(raw: dict) -> dict:
     """Fail-closed validation: unknown fields are rejected, defaults fill
     omitted ones, and values the pipeline would index or build with are
     checked before any work starts."""
-    _check_keys(raw, _SCHEMA, "config")
+    _check_keys(raw, _CONFIG, "config")
     cfg = default_config()
     for section, val in raw.items():
-        if isinstance(val, dict):
-            if section == "data" and ("classes" in val or "preset" in val):
-                # inline mixtures replace the preset outright
-                cfg["data"] = {**{"n_train": cfg["data"]["n_train"], "n_val": cfg["data"]["n_val"]}, **val}
-            else:
-                cfg[section] = {**cfg.get(section, {}), **copy.deepcopy(val)}
-        else:
-            cfg[section] = val
-    if "stabilizer" in raw.get("guidance", {}):
-        cfg["guidance"]["stabilizer"] = copy.deepcopy(raw["guidance"]["stabilizer"])
+        if section == "data" and "classes" in val:
+            del cfg["data"]["preset"]  # an inline mixture replaces the default preset
+        # a nested object (the stabilizer) replaces its default outright
+        cfg[section] = {**cfg[section], **copy.deepcopy(val)} if isinstance(val, dict) else val
     data = cfg["data"]
     if "classes" in data:
         _check_classes(data["classes"])
         n_classes = len(data["classes"])
     else:
-        preset = data.get("preset", "two_class")
+        preset = data["preset"]
         if preset not in _PRESETS:
             raise ConfigError(f"unknown data preset {preset!r}")
         n_classes = _PRESETS[preset]().n_classes
@@ -220,7 +199,7 @@ def build_spec(cfg: dict) -> GmmSpec:
             for c in data["classes"]
         ]
         return make_spec(classes)
-    return _PRESETS[data.get("preset", "two_class")]()
+    return _PRESETS[data["preset"]]()
 
 
 def build_schedule(cfg: dict):
@@ -230,8 +209,13 @@ def build_schedule(cfg: dict):
 
 def build_stabilizer(node, where: str) -> gd.StabilizerConfig:
     """The stabilizer a config node names; StabilizerConfig checks kind and betas."""
-    _check_keys(node, _SCHEMA["guidance"]["stabilizer"], where)
+    _check_keys(node, _CONFIG["guidance"]["stabilizer"], where)
     return gd.StabilizerConfig(**node)
+
+
+def _file_tag(stab: gd.StabilizerConfig) -> str:
+    """A stabilizer's label as file names carry it: ema(0.99) -> ema-0.99."""
+    return stab.label.translate(str.maketrans({"(": "-", ")": "", ",": "-"}))
 
 
 def _seed(cfg: dict, label: str, index: int = 0) -> int:
@@ -360,11 +344,7 @@ def cmd_train(cfg: dict, chash: str, out: Path, persona: str) -> int:
     result = train_persona(cfg, persona, spec, schedule)
     path = _checkpoint_path(out, persona)
     nn.save_checkpoint(result.model, path)
-    with open(out / f"loss_{persona}.csv", "w", newline="") as f:
-        f.write(f"# config_hash: {chash}\n")
-        f.write("epoch,loss\n")
-        for i, loss in enumerate(result.losses):
-            f.write(f"{i},{format(loss, '.17g')}\n")
+    write_csv(out / f"loss_{persona}.csv", ["epoch", "loss"], enumerate(result.losses.tolist()), chash)
     print(f"wrote {path} (final loss {result.losses[-1] if len(result.losses) else float('nan'):.6f})")
     return EXIT_OK
 
@@ -389,11 +369,7 @@ def cmd_sensitivity(cfg: dict, chash: str, out: Path, metric: str, path_kind: st
         jacobian_mode=cfg["guidance"]["jacobian_mode"],
         objective=cfg["guidance"]["objective"],
     )
-    stab_tag = (
-        "_" + stab_cfg.label.translate(str.maketrans({"(": "-", ")": "", ",": "-"}))
-        if stab_cfg
-        else ""
-    )
+    stab_tag = "_" + _file_tag(stab_cfg) if stab_cfg else ""
     stem = f"sensitivity_{metric}_{path_kind}{stab_tag}"
     sens.save_curve_csv(curve_obj, out / f"{stem}.csv", chash)
     _svg_line_plot(
@@ -415,11 +391,9 @@ def cmd_sample(cfg: dict, chash: str, out: Path) -> int:
     gcfg = build_guidance_config(cfg, handle)
     n = cfg["sample"]["n"]
     batch = gd.sample_batch(dn, schedule, gcfg, n, _seed(cfg, "sample-chains"))
-    with open(out / "samples.csv", "w", newline="") as f:
-        f.write(",".join([f"x{i}" for i in range(spec.dim)] + ["diverged", "seed", "config_hash"]) + "\n")
-        for row, div in zip(batch.samples, batch.diverged):
-            coords = ",".join(format(v, ".17g") for v in row)
-            f.write(f"{coords},{int(div)},{cfg['seed']},{chash}\n")
+    header = [f"x{i}" for i in range(spec.dim)] + ["diverged", "seed", "config_hash"]
+    rows = (x + [int(div), cfg["seed"], chash] for x, div in zip(batch.samples.tolist(), batch.diverged.tolist()))
+    write_csv(out / "samples.csv", header, rows)
     kept = batch.kept()
     if len(kept) == 0:
         print("error: every chain diverged; no metrics to report", file=sys.stderr)
@@ -454,8 +428,7 @@ def cmd_sweep(cfg: dict, chash: str, out: Path) -> int:
         _seed(cfg, "sweep-chains"),
         config_hash=chash,
     )
-    stab_tag = gcfg.stabilizer.label.translate(str.maketrans({"(": "-", ")": "", ",": "-"}))
-    label = f"{cfg['guidance']['classifier']}_{gcfg.path}_{stab_tag}"
+    label = f"{cfg['guidance']['classifier']}_{gcfg.path}_{_file_tag(gcfg.stabilizer)}"
     csv_path = out / f"sweep_{label}.csv"
     mtr.save_sweep_csv(rows, csv_path, chash)
     scales = np.array([s for s, _ in rows])
@@ -504,15 +477,8 @@ def cmd_report(out: Path, fmt: str) -> int:
         (out / "report.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
         print(f"wrote {out / 'report.json'}")
     else:
-        with open(out / "report.csv", "w", newline="") as f:
-            f.write("setup,s,acc_oracle,acc_guiding,fd,cfd,n,n_diverged,best\n")
-            for r in rows:
-                is_best = best is not None and r is best
-                f.write(
-                    f"{r['setup']},{format(r['s'], '.17g')},{format(r['acc_oracle'], '.17g')},"
-                    f"{format(r['acc_guiding'], '.17g')},{format(r['fd'], '.17g')},"
-                    f"{format(r['cfd'], '.17g')},{r['n']},{r['n_diverged']},{int(is_best)}\n"
-                )
+        header = ["setup", *mtr.SWEEP_COLUMNS, "best"]
+        write_csv(out / "report.csv", header, ([r[k] for k in header[:-1]] + [int(r is best)] for r in rows))
         print(f"wrote {out / 'report.csv'}")
     if best:
         print(f"best setup: {best['setup']} at s={best['s']} (cfd={best['cfd']:.4f}, acc={best['acc_oracle']:.4f})")

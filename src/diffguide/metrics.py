@@ -8,13 +8,13 @@ classes (fd) or restricted to the target class (cfd). Features are the raw
 data coordinates; at this scale the data space is already the semantic space.
 """
 
-import csv
 import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import classifier as clf
+from .artifacts import write_csv
 from .guidance import GuidanceConfig, _run_chains
 from .rng import substream
 from .synthdata import GmmSpec, sample_class_points, sample_labeled
@@ -172,20 +172,8 @@ def sweep(
 
 
 def save_sweep_csv(rows, path, config_hash: str = "") -> None:
-    with open(path, "w", newline="") as f:
-        if config_hash:
-            f.write(f"# config_hash: {config_hash}\n")
-        writer = csv.writer(f)
-        writer.writerow(list(SWEEP_COLUMNS))
-        for s, report in rows:
-            writer.writerow(
-                [
-                    format(s, ".17g"),
-                    format(report.target_accuracy_oracle, ".17g"),
-                    format(report.target_accuracy_guiding, ".17g"),
-                    format(report.fd, ".17g"),
-                    format(report.cfd, ".17g"),
-                    report.n_samples,
-                    report.n_diverged,
-                ]
-            )
+    cells = (
+        [s, r.target_accuracy_oracle, r.target_accuracy_guiding, r.fd, r.cfd, r.n_samples, r.n_diverged]
+        for s, r in rows
+    )
+    write_csv(path, list(SWEEP_COLUMNS), cells, config_hash)

@@ -12,11 +12,11 @@ zero state. Pairs with a zero input distance are undefined and excluded from
 aggregation.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .classifier import ClassifierHandle, predict_logits
 from .denoiser import AnalyticDenoiser
 from .guidance import GuidanceConfig, StabilizerConfig, guidance_gradient, init_stabilizer_state, stabilize
@@ -113,20 +113,7 @@ def _ratio_into(out: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
 
 
 def save_curve_csv(curve_obj: SensitivityCurve, path, config_hash: str = "") -> None:
-    with open(path, "w", newline="") as f:
-        if config_hash:
-            f.write(f"# config_hash: {config_hash}\n")
-        writer = csv.writer(f)
-        writer.writerow(["t", "mean", "std", "count", "metric", "path", "stabilizer"])
-        for i, t in enumerate(curve_obj.t):
-            writer.writerow(
-                [
-                    int(t),
-                    format(curve_obj.mean[i], ".17g"),
-                    format(curve_obj.std[i], ".17g"),
-                    int(curve_obj.count[i]),
-                    curve_obj.metric,
-                    curve_obj.path,
-                    curve_obj.stabilizer,
-                ]
-            )
+    c = curve_obj
+    labels = (c.metric, c.path, c.stabilizer)
+    rows = (row + labels for row in zip(c.t.tolist(), c.mean.tolist(), c.std.tolist(), c.count.tolist()))
+    write_csv(path, ["t", "mean", "std", "count", "metric", "path", "stabilizer"], rows, config_hash)

@@ -5,11 +5,12 @@ known, so the exact denoiser and the Bayes-optimal reference classifier both
 evaluate it through one tabulated component pass (ComponentTables).
 """
 
-import csv
 import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .artifacts import write_csv
 
 _PROB_TOL = 1e-12
 
@@ -272,9 +273,5 @@ def _check_class(spec: GmmSpec, y: int) -> None:
 
 
 def save_dataset_csv(dataset: LabeledDataset, path) -> None:
-    d = dataset.points.shape[1]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"x{i}" for i in range(d)] + ["label"])
-        for row, label in zip(dataset.points, dataset.labels):
-            writer.writerow([format(v, ".17g") for v in row] + [int(label)])
+    header = [f"x{i}" for i in range(dataset.points.shape[1])] + ["label"]
+    write_csv(path, header, (p + [y] for p, y in zip(dataset.points.tolist(), dataset.labels.tolist())))

@@ -192,12 +192,19 @@ def test_oracle_finite_far_from_every_component(objective):
 
 def test_oracle_beyond_squared_distance_overflow_has_no_nan():
     # beyond about 1e154 every log joint is -inf: each class's logit is -inf
-    # and its logit gradient 0, where the per-class shift once gave NaN
+    # and both objectives' gradients 0, where the max shifts once gave NaN;
+    # a near point batched with far ones keeps every bit of its own row
     h = bayes_oracle(two_class_benchmark())
     X = np.array([[1e155, 0.0]])
     assert np.all(predict_logits(h, X) == -np.inf)
-    for y in range(2):
-        assert np.array_equal(input_gradient(h, X, y, "logit"), np.zeros((1, 2)))
+    near = np.array([[0.3, -0.2]])
+    mixed = np.concatenate([X, near, [[-1e160, 3.0]]])
+    for objective in ("log_softmax", "logit"):
+        for y in range(2):
+            assert np.array_equal(input_gradient(h, X, y, objective), np.zeros((1, 2)))
+            g = input_gradient(h, mixed, y, objective)
+            assert np.array_equal(g[[0, 2]], np.zeros((2, 2)))
+            assert g[1].tobytes() == input_gradient(h, near, y, objective)[0].tobytes()
 
 
 def test_oracle_logit_gradient_for_one_component_class_is_the_score():

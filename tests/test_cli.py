@@ -78,6 +78,8 @@ def test_config_hash_semantics():
     assert h0 == config_hash(validate_config({"seed": default_config()["seed"]}))
     assert h0 != config_hash(validate_config({"seed": 1}))
     assert h0 != config_hash(validate_config({"guidance": {"scale": 3.5}}))
+    # the default experiment's hash, which every default artifact embeds
+    assert h0 == "86c2093f72057f26"
 
 
 def test_pipeline_end_to_end(tmp_path, small_cfg):
@@ -139,6 +141,7 @@ def test_repeat_runs_byte_identical(tmp_path, small_cfg):
     for name in (
         "train.csv",
         "classifier_non_robust.json",
+        "loss_non_robust.csv",
         "samples.csv",
         "metrics.json",
         "sweep_non_robust_x0pred_ema-0.99.csv",
@@ -147,6 +150,8 @@ def test_repeat_runs_byte_identical(tmp_path, small_cfg):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
+        # every CSV ends its lines with LF alone
+        assert not name.endswith(".csv") or b"\r" not in a, name
 
 
 def test_seed_override_changes_outputs(tmp_path, small_cfg):

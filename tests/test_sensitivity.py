@@ -1,10 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 import diffguide as dg
 from diffguide.classifier import ClassifierHandle, bayes_oracle
 from diffguide.denoiser import AnalyticDenoiser
-from diffguide.guidance import ema, identity
+from diffguide.guidance import adam, ema, identity
 from diffguide.nn import MlpModel
 from diffguide.schedule import schedule_from_betas
 from diffguide.sensitivity import curve, save_curve_csv
@@ -237,6 +239,18 @@ def test_curve_csv_round_trip(tmp_path, h_nonrobust, small_denoiser, val_ds):
     first = lines[2].split(",")
     assert int(first[0]) == 2
     assert float(first[1]) == pytest.approx(c.mean[0], rel=1e-16)
+    # the adam label holds commas: it is quoted, and reads back whole
+    c = curve(
+        h_nonrobust, small_denoiser, val_ds.points[:10], val_ds.labels[:10], "stabilized_gradient",
+        stabilizer=adam(), seed=3,
+    )
+    save_curve_csv(c, path)
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["t", "mean", "std", "count", "metric", "path", "stabilizer"]
+    assert len(rows) == 1 + len(c.t)
+    assert {r[6] for r in rows[1:]} == {"adam(0.9,0.999)"}
+    assert [float(r[1]) for r in rows[1:]] == c.mean.tolist()
 
 
 def test_x0pred_gradient_curve_runs_one_posterior_pass_per_gradient(
