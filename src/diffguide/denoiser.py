@@ -47,29 +47,43 @@ class AnalyticDenoiser:
 
     # -- internal -----------------------------------------------------------
 
-    def _bundle(self, X: np.ndarray, t: int, with_jacobian: bool = False):
+    def _bundle(self, X: np.ndarray, t, with_jacobian: bool = False):
         """Posterior mean E[x0 | X] (n, d) and, optionally, its Jacobian
         (n, d, d), at step t from one pass over the tables; t = 0 is clean
-        data. A row's result does not depend on the rest of the batch."""
-        if not 0 <= t <= self.schedule.T:
-            raise ValueError(f"step index t={t} outside [0, {self.schedule.T}]")
+        data. A row's result does not depend on the rest of the batch.
+
+        t may also be an integer array of s steps: X then stacks s groups of
+        rows, step-major (group i is at step t[i]), and the results stack the
+        same way. Each step's tables are read once and broadcast over its
+        group, so the stack equals s separate calls bit for bit."""
+        T = self.schedule.T
+        steps = t if isinstance(t, np.ndarray) else (t,)
+        for step in steps:
+            if not 0 <= step <= T:
+                raise ValueError(f"step index t={step} outside [0, {T}]")
+        if len(steps) == 0 or len(X) % len(steps):
+            raise ValueError(f"{len(X)} rows do not split into {len(steps)} steps")
         tb = self.tables
-        proj, log_r = tb.log_joint(X, t)  # V_k^T diff (d, K, n), log joints (K, n)
-        r = np.exp(log_r - np.max(log_r, axis=0))
-        r /= _ordered_sum(r, axis=0)  # (K, n) responsibilities
+        d = self.dim
+        # (..., d, K, n) offsets and (..., K, n) log joints; "..." is the step axis
+        proj, log_r = tb.log_joint(X, t)
+        r = np.exp(log_r - np.max(log_r, axis=-2, keepdims=True))
+        r /= _ordered_sum(r, axis=-2)[..., None, :]  # responsibilities
         # component posterior means mu_k + sa * Sigma_k S_k^{-1} diff
-        comp_mean = tb.column_means + tb.sqrt_ab[t] * _contract(tb.from_eigen, proj * tb.shrink[t])
-        weighted = r * comp_mean
-        E = _ordered_sum(weighted, axis=1)  # (d, n)
+        sa = tb.sqrt_ab[t, None, None, None]
+        comp_mean = tb.column_means + sa * _contract(tb.from_eigen, proj * tb.shrink[t])
+        weighted = r[..., None, :, :] * comp_mean
+        E = _ordered_sum(weighted, axis=-2)  # (..., d, n)
+        E_rows = np.ascontiguousarray(E.swapaxes(-1, -2).reshape(-1, d))
         if not with_jacobian:
-            return np.ascontiguousarray(E.T), None
+            return E_rows, None
         # gradient of each component's log marginal density: -S_k^{-1} diff
         dens_grad = tb.score(proj, t)
-        J = _ordered_sum(self.A[t] * r, axis=2)  # (d, d, n)
-        J += _ordered_sum(weighted[:, None] * dens_grad[None], axis=2)
-        gbar = _ordered_sum(r * dens_grad, axis=1)
-        J -= E[:, None] * gbar[None]
-        return np.ascontiguousarray(E.T), np.ascontiguousarray(J.transpose(2, 0, 1))
+        J = _ordered_sum(self.A[t] * r[..., None, None, :, :], axis=-2)  # (..., d, d, n)
+        J += _ordered_sum(weighted[..., None, :, :] * dens_grad[..., None, :, :, :], axis=-2)
+        gbar = _ordered_sum(r[..., None, :, :] * dens_grad, axis=-2)
+        J -= E[..., None, :] * gbar[..., None, :, :]
+        return E_rows, np.ascontiguousarray(J.swapaxes(-1, -2).swapaxes(-2, -3).reshape(-1, d, d))
 
     # -- public -------------------------------------------------------------
 

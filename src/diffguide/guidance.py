@@ -124,20 +124,23 @@ class GuidanceConfig:
         return self.path == "x0pred" and self.jacobian_mode == "full"
 
 
-def guidance_gradient(cfg: GuidanceConfig, dn: AnalyticDenoiser, X, t: int, y, mean_x0, jac) -> np.ndarray:
+def guidance_gradient(cfg: GuidanceConfig, dn: AnalyticDenoiser, X, t, y, mean_x0, jac) -> np.ndarray:
     """Guidance gradient of the class-y objective at the noisy batch X.
 
     mean_x0 and jac are the step's posterior pass, as dn._bundle(X, t,
     cfg.needs_jacobian) returns it. "raw" differentiates the classifier at
     X and reads neither; "x0pred" differentiates it at mean_x0 and pulls the
     gradient back through jac, or through the 1/sqrt(ab_t) rescaling alone
-    for "stop_gradient".
+    for "stop_gradient". t may be an array of steps over a step-major stack
+    of row groups, as for dn._bundle; each group takes its own step's
+    rescaling.
     """
     if cfg.path == "raw":
         return clf.input_gradient(cfg.classifier, X, y, cfg.objective)
     v = clf.input_gradient(cfg.classifier, mean_x0, y, cfg.objective)
     if cfg.jacobian_mode == "stop_gradient":
-        return v / dn.tables.sqrt_ab[t]
+        sa = dn.tables.sqrt_ab[t, None, None]
+        return (v.reshape(len(sa), -1, v.shape[1]) / sa).reshape(v.shape)
     return np.einsum("npq,np->nq", jac, v)
 
 

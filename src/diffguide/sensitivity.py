@@ -10,6 +10,12 @@ stabilized metric feeds those gradients through a stabilizer, so `curve`
 walks every trajectory once in the sampling direction t = T..1 with a fresh
 zero state. Pairs with a zero input distance are undefined and excluded from
 aggregation.
+
+The walk runs in blocks of steps: every x_t is known before it starts, so
+each block stacks its steps' points and makes one posterior pass and one
+gradient call over all of them. Only the stabilizer update and the ratio run
+step by step. Every part of a pass is row-invariant, so a curve does not
+depend on the block size.
 """
 
 from dataclasses import dataclass
@@ -23,6 +29,8 @@ from .guidance import GuidanceConfig, StabilizerConfig, guidance_gradient, init_
 from .schedule import forward_sample
 
 _METRICS = ("logit", "gradient", "stabilized_gradient")
+# rows per block of the walk: blocks hold max(1, _BLOCK_ROWS // n) steps
+_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -77,19 +85,28 @@ def curve(
     ratios = np.full((T - 1, n), np.nan)  # row i = step t = i + 2
     state = init_stabilizer_state((n, d))
     prev_f = prev_x = None
-    for t in range(T, 0, -1):
-        X_t = forward_sample(schedule, X0, t, eps)
+    per_block = max(1, _BLOCK_ROWS // n)
+    for top in range(T, 0, -per_block):
+        ts = np.arange(top, max(top - per_block, 0), -1)
+        # the block's points, step-major: rows i*n..(i+1)*n are step ts[i]
+        X = np.concatenate([forward_sample(schedule, X0, t, eps) for t in ts])
         if metric == "logit":
-            f = predict_logits(h, dn.posterior_mean_x0(X_t, t) if path == "x0pred" else X_t)
+            inputs = dn._bundle(X, ts)[0] if path == "x0pred" else X
         else:
             # the raw path reads no posterior pass
-            mean_x0, jac = dn._bundle(X_t, t, recipe.needs_jacobian) if path == "x0pred" else (None, None)
-            f = guidance_gradient(recipe, dn, X_t, t, ys, mean_x0, jac)
-        if metric == "stabilized_gradient":
-            state, f = stabilize(state, stabilizer, f)
-        if prev_f is not None:
-            _ratio_into(ratios[t - 1], prev_f - f, prev_x - X_t)
-        prev_f, prev_x = f, X_t
+            mean_x0, jac = dn._bundle(X, ts, recipe.needs_jacobian) if path == "x0pred" else (None, None)
+            F = guidance_gradient(recipe, dn, X, ts, np.tile(ys, len(ts)), mean_x0, jac)
+        for i, t in enumerate(ts):
+            rows = slice(i * n, (i + 1) * n)
+            X_t = X[rows]
+            # MLP logits come from plain products, whose bits depend on the
+            # row count, so they are taken one step's rows at a time
+            f = predict_logits(h, inputs[rows]) if metric == "logit" else F[rows]
+            if metric == "stabilized_gradient":
+                state, f = stabilize(state, stabilizer, f)
+            if prev_f is not None:
+                _ratio_into(ratios[t - 1], prev_f - f, prev_x - X_t)
+            prev_f, prev_x = f, X_t
 
     defined = ~np.isnan(ratios)
     counts = defined.sum(axis=1)

@@ -215,8 +215,9 @@ def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _contract(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out[o, k, n] = sum_j coef[j, o, k] v[j, k, n], for coef (j, o, K, 1)."""
-    return _ordered_sum(coef * v[:, None], axis=0)
+    """out[..., o, k, n] = sum_j coef[..., j, o, k] v[..., j, k, n], for coef
+    (..., j, o, K, 1)."""
+    return _ordered_sum(coef * v[..., None, :, :], axis=-4)
 
 
 class ComponentTables:
@@ -226,7 +227,11 @@ class ComponentTables:
 
     Passes work on (coordinate, component, row) arrays, with coefficient
     tables ending in (K, 1), and sum broadcast products term by term in index
-    order, so a row's result does not depend on the rest of the batch.
+    order, so a row's result does not depend on the rest of the batch. A pass
+    at an array of s table rows takes a step-major batch of s groups of n
+    points and works on (s, coordinate, component, n) arrays: each table row
+    is read once and broadcast over its group, and every element sees the
+    operations of a pass at that one row.
     """
 
     def __init__(self, spec: GmmSpec, alpha_bars):
@@ -253,17 +258,22 @@ class ComponentTables:
         self.shifted_means = per_row(sa * means)  # sqrt(ab) mu_k
         self.shrink = per_row(shrink)
 
-    def log_joint(self, X: np.ndarray, row: int) -> tuple[np.ndarray, np.ndarray]:
+    def log_joint(self, X: np.ndarray, row) -> tuple[np.ndarray, np.ndarray]:
         """Eigenbasis offsets V_k^T (x - sqrt(ab) mu_k) (d, K, n) and each
-        component's log joint log w_k + log N(x; sqrt(ab) mu_k, S_k) (K, n)."""
+        component's log joint log w_k + log N(x; sqrt(ab) mu_k, S_k) (K, n).
+        For an array of s rows, X (s n, d) is step-major and the results
+        are (s, d, K, n) and (s, K, n)."""
         marg = self.marg[row]
-        diff = X.T[:, None, :] - self.shifted_means[row]  # (d, K, n)
+        steps = isinstance(row, np.ndarray)
+        points = X.reshape(len(row), -1, X.shape[1]).swapaxes(-1, -2) if steps else X.T  # (..., d, n)
+        diff = points[..., None, :] - self.shifted_means[row]  # (..., d, K, n)
         proj = _contract(self.to_eigen, diff)
-        quad = _ordered_sum(proj * proj / marg, axis=0)
+        quad = _ordered_sum(proj * proj / marg, axis=-3)
         return proj, self.log_weights - 0.5 * (quad + self.log_norm[row])
 
-    def score(self, proj: np.ndarray, row: int) -> np.ndarray:
-        """Each component's log-density gradient -S_k^{-1} (x - sqrt(ab) mu_k), (d, K, n)."""
+    def score(self, proj: np.ndarray, row) -> np.ndarray:
+        """Each component's log-density gradient -S_k^{-1} (x - sqrt(ab) mu_k),
+        shaped like proj."""
         return -_contract(self.from_eigen, proj / self.marg[row])
 
 

@@ -372,10 +372,42 @@ def test_bundle_full_covariance_3d_against_einsum_reference(schedule400, with_ja
 def test_bundle_rejects_steps_outside_schedule(denoiser, schedule400):
     X = np.zeros((3, 2))
     for t in (-1, schedule400.T + 1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside"):
             denoiser._bundle(X, t)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside"):
             denoiser._bundle(X, t, with_jacobian=True)
+        # one bad step in a stack of steps
+        with pytest.raises(ValueError, match="outside"):
+            denoiser._bundle(X, np.array([5, t, 7]), with_jacobian=True)
+
+
+def test_bundle_rejects_rows_that_do_not_split_into_the_steps(denoiser):
+    for rows, steps in ((5, [3, 2]), (3, [9, 8, 7, 6]), (4, [])):
+        for with_jacobian in (False, True):
+            with pytest.raises(ValueError, match="do not split"):
+                denoiser._bundle(np.zeros((rows, 2)), np.array(steps, dtype=np.int64), with_jacobian)
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bundle_step_stack_equals_per_step_calls_bitwise(schedule400, spec2, dim, with_jacobian):
+    # s groups of n rows at s steps, stacked step-major, give the bits of
+    # the s separate one-step calls
+    dn = AnalyticDenoiser(spec2 if dim == 2 else _spec3(), schedule400)
+    rng = np.random.default_rng(34)
+    for n in (1, 3, 250):
+        for steps in ([0], [400], [400, 399, 398], [2, 0, 1, 200, 400, 57]):
+            groups = [rng.standard_normal((n, dim)) * 1.5 for _ in steps]
+            E, J = dn._bundle(np.concatenate(groups), np.array(steps), with_jacobian)
+            assert E.shape == (len(steps) * n, dim)
+            for i, (X, t) in enumerate(zip(groups, steps)):
+                E_t, J_t = dn._bundle(X, t, with_jacobian)
+                rows = slice(i * n, (i + 1) * n)
+                assert np.array_equal(E[rows], E_t), (n, steps, t)
+                if with_jacobian:
+                    assert np.array_equal(J[rows], J_t), (n, steps, t)
+                else:
+                    assert J is None
 
 
 def test_guided_gradient_is_jacobian_pullback_bitwise(denoiser, h_nonrobust):

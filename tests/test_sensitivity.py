@@ -259,20 +259,64 @@ def test_x0pred_gradient_curve_runs_one_posterior_pass_per_gradient(
     from diffguide import classifier
 
     calls = {"posterior": 0, "gradient": 0}
+    rows = {"posterior": 0, "gradient": 0}
     bundle, input_gradient = AnalyticDenoiser._bundle, classifier.input_gradient
 
     def counted_bundle(self, X, t, with_jacobian=False):
         calls["posterior"] += 1
+        rows["posterior"] += len(X)
         return bundle(self, X, t, with_jacobian)
 
-    def counted_gradient(*args, **kwargs):
+    def counted_gradient(h, x, *args, **kwargs):
         calls["gradient"] += 1
-        return input_gradient(*args, **kwargs)
+        rows["gradient"] += len(x)
+        return input_gradient(h, x, *args, **kwargs)
 
     monkeypatch.setattr(AnalyticDenoiser, "_bundle", counted_bundle)
     monkeypatch.setattr(classifier, "input_gradient", counted_gradient)
+    n, T = 20, small_denoiser.schedule.T
+    monkeypatch.setattr(dg.sensitivity, "_BLOCK_ROWS", 7 * n)  # blocks of 7 steps
     dg.sensitivity.curve(
-        h_nonrobust, small_denoiser, val_ds.points[:20], val_ds.labels[:20], "gradient", path="x0pred"
+        h_nonrobust, small_denoiser, val_ds.points[:n], val_ds.labels[:n], "gradient", path="x0pred"
     )
-    assert calls["gradient"] == small_denoiser.schedule.T  # one gradient per step
-    assert calls["posterior"] == calls["gradient"]
+    # the walk runs in blocks of steps: one pass feeds each gradient call,
+    # and together they see every step's rows once
+    assert calls["posterior"] == calls["gradient"] == -(-T // 7)
+    assert rows["posterior"] == rows["gradient"] == T * n
+
+
+_BLOCK_CASES = [
+    ("h_nonrobust", "logit", "raw", "full", None),
+    ("h_nonrobust", "logit", "x0pred", "full", None),
+    ("h_nonrobust", "gradient", "raw", "full", None),
+    ("h_nonrobust", "gradient", "x0pred", "full", None),
+    ("h_nonrobust", "gradient", "x0pred", "stop_gradient", None),
+    ("h_nonrobust", "stabilized_gradient", "x0pred", "full", ema(0.99)),
+    ("h_nonrobust", "stabilized_gradient", "raw", "full", adam()),
+    ("h_nonrobust", "stabilized_gradient", "x0pred", "stop_gradient", adam()),
+    ("h_oracle", "stabilized_gradient", "x0pred", "full", ema(0.9)),
+]
+
+
+@pytest.mark.parametrize("persona,metric,path,jacobian_mode,stabilizer", _BLOCK_CASES)
+def test_curve_does_not_depend_on_the_block_size(
+    request, denoiser, val_ds, monkeypatch, persona, metric, path, jacobian_mode, stabilizer
+):
+    # 300 points: 4096 // 300 = 13 steps per block, which leave a short last
+    # block of T = 400 steps; one row per block gives one step per block
+    h = request.getfixturevalue(persona)
+    pts, labs = val_ds.points[:300], val_ds.labels[:300]
+    curves = []
+    for block_rows in (1, dg.sensitivity._BLOCK_ROWS):
+        monkeypatch.setattr(dg.sensitivity, "_BLOCK_ROWS", block_rows)
+        curves.append(
+            curve(
+                h, denoiser, pts, labs, metric, path=path, stabilizer=stabilizer,
+                seed=12, jacobian_mode=jacobian_mode,
+            )
+        )
+    one_step, blocked = curves
+    assert denoiser.schedule.T % (dg.sensitivity._BLOCK_ROWS // 300) != 0
+    for field in ("t", "mean", "std", "count"):
+        a, b = getattr(one_step, field), getattr(blocked, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
