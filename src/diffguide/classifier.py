@@ -23,6 +23,14 @@ class ClassifierHandle:
     model: nn.MlpModel | None = None
     spec: GmmSpec | None = None
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown classifier kind {self.kind!r}")
+        if self.kind == "bayes_oracle" and self.spec is None:
+            raise ValueError("a bayes_oracle handle needs a spec")
+        if self.kind != "bayes_oracle" and self.model is None:
+            raise ValueError(f"a {self.kind} handle needs a model")
+
     @property
     def n_classes(self) -> int:
         return self.spec.n_classes if self.kind == "bayes_oracle" else self.model.n_classes
@@ -42,8 +50,6 @@ def bayes_oracle(spec: GmmSpec) -> ClassifierHandle:
 
 def predict_logits(h: ClassifierHandle, x) -> np.ndarray:
     """Class logits at x; oracle logits are log(prior * class density)."""
-    if h.kind not in _KINDS:
-        raise ValueError(f"unknown classifier kind {h.kind!r}")
     if h.kind != "bayes_oracle":
         return nn.forward(h.model, x)
     X, single = as_batch(x)

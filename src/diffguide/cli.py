@@ -158,6 +158,8 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"config.guidance.target_class: {target} outside [0, {n_classes})")
     if not all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in cfg["train"]["hidden"]):
         raise ConfigError("config.train.hidden: expected a list of positive integers")
+    if cfg["sensitivity"]["n"] < 1:
+        raise ConfigError("config.sensitivity.n: expected a positive integer")
     if not all(map(_is_number, cfg["sweep"]["scales"])):
         raise ConfigError("config.sweep.scales: expected a list of numbers")
     return cfg

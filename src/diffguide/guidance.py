@@ -202,19 +202,18 @@ def _run_chains(
     starts, zs = _pregenerate_noise(chain_indices, T, d, seed)
     n, S = len(starts), len(scales)
     x = np.tile(starts, (S, 1))
-    scale = np.repeat(np.asarray(scales, dtype=np.float64), n)
     diverged_t = np.full(S * n, -1, dtype=np.int64)
     active = np.ones(S * n, dtype=bool)
-    guided = np.flatnonzero(scale) if cfg is not None else []
+    # guided scales; their rows are gathered by n-row blocks, cheaper than row by row
+    guided = np.flatnonzero(scales) if cfg is not None else []
     if len(guided) == 0:
         cfg = None  # nothing to guide: the unguided sampler
-    elif guided[-1] - guided[0] == len(guided) - 1:
-        # contiguous rows, as when every row is guided or only a leading
-        # scale is 0: index with a slice, whose views copy no rows
-        guided = slice(guided[0], guided[-1] + 1)
     if cfg is not None:
-        scale = scale[guided][:, None]
+        scale = np.repeat(np.asarray(scales, dtype=np.float64)[guided], n)[:, None]
         state = init_stabilizer_state((len(scale), d))
+
+    def gather(a):
+        return a.reshape(S, n, *a.shape[1:])[guided].reshape(-1, *a.shape[1:])
     with np.errstate(all="ignore"):
         for t in range(T, 0, -1):
             ab = schedule.alpha_bar(t)
@@ -224,7 +223,7 @@ def _run_chains(
             mean_x0, jac = dn._bundle(x, t, with_jacobian=cfg is not None and cfg.needs_jacobian)
             if cfg is not None:
                 g = guidance_gradient(
-                    cfg, dn, x[guided], t, cfg.target_class, mean_x0[guided], None if jac is None else jac[guided]
+                    cfg, dn, gather(x), t, cfg.target_class, gather(mean_x0), None if jac is None else gather(jac)
                 )
                 state, nu = stabilize(state, cfg.stabilizer, g)
                 shift = scale * schedule.sigma_sq(t) * nu
@@ -235,7 +234,7 @@ def _run_chains(
                 # every scale's copy of a chain takes the chain's one draw
                 x_next = (x_next.reshape(S, n, d) + np.sqrt(sigma_sq) * zs[:, T - t]).reshape(S * n, d)
             if cfg is not None:
-                x_next[guided] += shift
+                x_next.reshape(S, n, d)[guided] += shift.reshape(-1, n, d)
             bad = active & ~np.all(np.isfinite(x_next), axis=1)
             if np.any(bad):
                 diverged_t[bad] = t

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import Schedule
+from .synthdata import as_batch
 
 _ACTIVATIONS = ("tanh", "softplus")
 _OBJECTIVES = ("log_softmax", "logit")
 # Adam moment decays and denominator offset used by train
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
-# input gradients: rows per matrix product, and blocks per stacked call
+# inference: rows per matrix product, and blocks per stacked call
 _BLOCK, _CHUNK = 128, 2
 
 
@@ -98,15 +99,26 @@ def _derivative_in_place(model: MlpModel, pre, acts, i: int) -> np.ndarray:
     return g
 
 
+def _block_passes(model: MlpModel, X: np.ndarray):
+    """Yield (rows, pre, acts) per chunk of _CHUNK blocks: the chunk's rows
+    of X (n, d) zero-padded to whole _BLOCK-row blocks, and its cached pass.
+    Every product sees exactly _BLOCK rows, so a row's logits and gradients
+    do not depend on the batch (BLAS results depend on the row count)."""
+    n, d = X.shape
+    if d != model.input_dim:
+        raise ValueError(f"input dim {d} != model dim {model.input_dim}")
+    blocks = np.concatenate([X, np.zeros((-n % _BLOCK, d))]).reshape(-1, _BLOCK, d)
+    for lo in range(0, len(blocks), _CHUNK):
+        yield slice(lo * _BLOCK, (lo + _CHUNK) * _BLOCK), *_forward_cached(model, blocks[lo : lo + _CHUNK])
+
+
 def forward(model: MlpModel, x) -> np.ndarray:
     """Logits for a single point (d,) or a batch (n, d)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.shape[1] != model.input_dim:
-        raise ValueError(f"input dim {X.shape[1]} != model dim {model.input_dim}")
-    _, acts = _forward_cached(model, X)
-    return acts[-1][0] if single else acts[-1]
+    X, single = as_batch(x)
+    logits = np.empty((len(X) + (-len(X) % _BLOCK), model.n_classes))
+    for rows, _, acts in _block_passes(model, X):
+        logits[rows] = acts[-1].reshape(-1, model.n_classes)
+    return logits[0] if single else logits[: len(X)]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -130,27 +142,18 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     objective "log_softmax" differentiates log p(y | x); "logit" differentiates
     the raw class-y logit. y is scalar or per-row for batched x.
 
-    The batch is zero-padded to whole blocks of _BLOCK rows and run _CHUNK
-    blocks at a time as stacked products, so every matrix product sees
-    exactly _BLOCK rows and a row's gradient does not depend on the rest of
-    the batch (BLAS results depend on the row count). Each chunk runs in
-    place: a hidden layer's product buffer takes its bias, then its
-    activation, then in backprop the activation's derivative.
+    Backprop runs over _block_passes' chunks in place: a hidden layer's
+    product buffer takes its bias, its activation, then its derivative.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+    X, single = as_batch(x)
     n, d = X.shape
     padded = n + (-n % _BLOCK)
-    X = np.concatenate([X, np.zeros((padded - n, d))])
     onehot = np.zeros((padded, model.n_classes))  # padding rows' gradients are dropped
     onehot[np.arange(n), np.asarray(y, dtype=np.int64)] = 1.0
-    grad = np.empty_like(X)
-    for lo in range(0, padded, _BLOCK * _CHUNK):
-        rows = slice(lo, lo + _BLOCK * _CHUNK)
-        pre, acts = _forward_cached(model, X[rows].reshape(-1, _BLOCK, d))
+    grad = np.empty((padded, d))
+    for rows, pre, acts in _block_passes(model, X):
         delta = onehot[rows].reshape(acts[-1].shape)
         if objective == "log_softmax":
             delta = delta - np.exp(log_softmax(acts[-1]))

@@ -13,9 +13,9 @@ aggregation.
 
 The walk runs in blocks of steps: every x_t is known before it starts, so
 each block stacks its steps' points and makes one posterior pass and one
-gradient call over all of them. Only the stabilizer update and the ratio run
-step by step. Every part of a pass is row-invariant, so a curve does not
-depend on the block size.
+logit or gradient call over all of them. Only the stabilizer update and the
+ratio run step by step. Every part of a pass is row-invariant, so a curve
+does not depend on the block size.
 """
 
 from dataclasses import dataclass
@@ -60,12 +60,12 @@ def curve(
     jacobian_mode: str = "full",
     objective: str = "log_softmax",
 ) -> SensitivityCurve:
-    """Per-step mean/std of a sensitivity metric over a dataset.
+    """Per-step mean/std of a sensitivity metric over a nonempty dataset.
 
     Every sample gets one shared noise draw for its whole trajectory, and
-    its own label is the target class of its gradients. Undefined
-    (zero-distance) pairs are dropped per step and the remaining count
-    recorded.
+    its own label is the target class of its gradients; logits are taken at
+    x_t (raw) or E[x0 | x_t] (x0pred). Undefined (zero-distance) pairs are
+    dropped per step and the remaining count recorded.
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}")
@@ -78,6 +78,8 @@ def curve(
     X0 = np.asarray(points, dtype=np.float64)
     ys = np.asarray(labels, dtype=np.int64)
     n, d = X0.shape
+    if n < 1:
+        raise ValueError("a sensitivity curve needs at least one point")
     T = schedule.T
     eps = np.random.default_rng(seed).standard_normal((n, d))
 
@@ -90,18 +92,16 @@ def curve(
         ts = np.arange(top, max(top - per_block, 0), -1)
         # the block's points, step-major: rows i*n..(i+1)*n are step ts[i]
         X = np.concatenate([forward_sample(schedule, X0, t, eps) for t in ts])
+        # the raw path reads no posterior pass, and only a gradient its Jacobian
+        with_jacobian = metric != "logit" and recipe.needs_jacobian
+        mean_x0, jac = dn._bundle(X, ts, with_jacobian) if path == "x0pred" else (None, None)
         if metric == "logit":
-            inputs = dn._bundle(X, ts)[0] if path == "x0pred" else X
+            F = predict_logits(h, X if path == "raw" else mean_x0)
         else:
-            # the raw path reads no posterior pass
-            mean_x0, jac = dn._bundle(X, ts, recipe.needs_jacobian) if path == "x0pred" else (None, None)
             F = guidance_gradient(recipe, dn, X, ts, np.tile(ys, len(ts)), mean_x0, jac)
         for i, t in enumerate(ts):
             rows = slice(i * n, (i + 1) * n)
-            X_t = X[rows]
-            # MLP logits come from plain products, whose bits depend on the
-            # row count, so they are taken one step's rows at a time
-            f = predict_logits(h, inputs[rows]) if metric == "logit" else F[rows]
+            X_t, f = X[rows], F[rows]
             if metric == "stabilized_gradient":
                 state, f = stabilize(state, stabilizer, f)
             if prev_f is not None:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from diffguide.classifier import bayes_oracle, input_gradient, predict_logits
-from diffguide.nn import log_softmax, log_softmax_target
+from diffguide.classifier import ClassifierHandle, bayes_oracle, input_gradient, predict_logits
+from diffguide.nn import init_mlp, log_softmax, log_softmax_target
 from diffguide.schedule import schedule_from_betas
 from diffguide.synthdata import make_spec, sample_dataset, three_class_benchmark, two_class_benchmark
 
@@ -276,3 +276,20 @@ def test_mlp_handle_gradient_delegates(h_nonrobust, model_nonrobust):
     np.testing.assert_array_equal(
         input_gradient(h_nonrobust, x, 1), nn.input_gradient(model_nonrobust, x, 1)
     )
+
+
+@pytest.mark.parametrize(
+    "kind, with_model, with_spec, message",
+    [
+        ("bogus", True, False, "unknown classifier kind 'bogus'"),
+        ("bayes_oracle", True, False, "needs a spec"),
+        ("non_robust", False, True, "needs a model"),
+        ("robust", False, True, "needs a model"),
+    ],
+    ids=["unknown-kind", "oracle-without-spec", "non-robust-without-model", "robust-without-model"],
+)
+def test_handle_is_checked_when_built(spec2, kind, with_model, with_spec, message):
+    # refused when built, so neither logits nor gradients can run on a bad handle
+    model = init_mlp([2, 4, 2]) if with_model else None
+    with pytest.raises(ValueError, match=message):
+        ClassifierHandle(kind, model=model, spec=spec2 if with_spec else None)

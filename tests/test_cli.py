@@ -283,6 +283,8 @@ def _two_class_mixture(prior0, mean0):
         ({"guidance": {"classifier": "bayes_oracle", "objective": "bogus"}}, ["sample"]),
         (_two_class_mixture(0.5, [1e308, 0.0]), ["gen-data"]),
         ({**_two_class_mixture(0.5, [1e308, 0.0]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
+        ({"guidance": {"classifier": "bayes_oracle"}, "sensitivity": {"n": 0}}, ["sensitivity"]),
+        ({"guidance": {"classifier": "bayes_oracle"}, "sensitivity": {"n": -1990}}, ["sensitivity"]),
     ],
     ids=[
         "mixture-without-components",
@@ -293,6 +295,8 @@ def _two_class_mixture(prior0, mean0):
         "unknown-objective-oracle-sample",
         "huge-mean",
         "huge-mean-oracle-sample",
+        "zero-sensitivity-points",
+        "negative-sensitivity-points",
     ],
 )
 def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):
@@ -414,6 +418,7 @@ _PROPERTY_BASE = {
     },
     "guidance": {"classifier": "bayes_oracle", "path": "raw", "scale": 1.0, "stabilizer": {"kind": "identity"}},
     "sample": {"n": 20},
+    "sensitivity": {"n": 20},
 }
 
 
@@ -450,7 +455,7 @@ def test_any_json_leaf_fails_closed(replacements):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(raw))
-        for command in ("gen-data", "sample"):
+        for command in ("gen-data", "sample", "sensitivity"):
             assert main(["--config", str(cfg), "--out", str(Path(tmp) / "run"), command]) in (0, 1, 2)
 
 

@@ -241,7 +241,7 @@ def test_mlp_guided_batch_equals_reversed_uneven_shards(small_denoiser, small_sc
 
 def test_multi_scale_batch_rows_equal_single_scale_batches(small_denoiser, small_schedule, h_nonrobust):
     # one (scale, chain) batch, scale-major, against one batch per scale
-    # the guided rows are a slice of the batch in the first case and not in the second
+    # scale 0 leads in the first order and sits between guided rows in the second
     cfg = GuidanceConfig(classifier=h_nonrobust, target_class=1, path="x0pred", stabilizer=ema(0.9))
     for scales in ([0.0, 1.0, 5.0, 20.0], [1.0, 0.0, 5.0, 20.0]):
         joint = dg.guidance._run_chains(small_denoiser, small_schedule, cfg, scales, 30, 12)

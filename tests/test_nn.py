@@ -55,13 +55,17 @@ def test_forward_batch_matches_single():
     X = np.random.default_rng(1).standard_normal((10, 2))
     batch = forward(m, X)
     for i in range(10):
-        np.testing.assert_allclose(batch[i], forward(m, X[i]), rtol=0, atol=1e-12)
+        assert np.array_equal(batch[i], forward(m, X[i]))
 
 
 def test_forward_dimension_check():
     m = init_mlp([2, 4, 2], seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="input dim 3 != model dim 2"):
         forward(m, np.zeros(3))
+    # the input gradient runs the same pass and rejects with the same message
+    for x in (np.zeros(3), np.zeros((5, 3))):
+        with pytest.raises(ValueError, match="input dim 3 != model dim 2"):
+            input_gradient(m, x, 0)
 
 
 def test_log_softmax_target_values():
@@ -150,21 +154,29 @@ def test_input_gradient_batch_matches_single():
         np.testing.assert_allclose(batch[i], input_gradient(m, X[i], ys[i]), atol=1e-14)
 
 
-@pytest.mark.parametrize("objective", ["log_softmax", "logit"])
-def test_input_gradient_rows_are_subset_invariant(objective):
-    # a row's gradient is the same bits in any batch that holds it: whole,
-    # in shards of any size, reordered, or alone
+@pytest.mark.parametrize(
+    "objective, activation",
+    [("log_softmax", "tanh"), ("logit", "tanh"), ("forward", "tanh"), ("forward", "softplus")],
+    ids=["log_softmax", "logit", "forward-tanh", "forward-softplus"],
+)
+def test_input_gradient_rows_are_subset_invariant(objective, activation):
+    # a row's gradient, or with "forward" its logits, is the same bits in
+    # any batch that holds it: whole, in shards of any size, reordered, or alone
     rng = np.random.default_rng(14)
-    m = init_mlp([2, 64, 64, 2], seed=15)
+    m = init_mlp([2, 64, 64, 2], activation, seed=15)
     X = rng.standard_normal((1000, 2)) * 2.0
     ys = rng.integers(0, 2, 1000)
-    whole = input_gradient(m, X, ys, objective)
+
+    def rows(idx):
+        return forward(m, X[idx]) if objective == "forward" else input_gradient(m, X[idx], ys[idx], objective)
+
+    whole = rows(slice(None))
     for size in (1, 7, 64, 128, 250, 333):
-        shards = [input_gradient(m, X[i : i + size], ys[i : i + size], objective) for i in range(0, 1000, size)]
+        shards = [rows(slice(i, i + size)) for i in range(0, 1000, size)]
         assert np.array_equal(np.concatenate(shards), whole), size
     subset = rng.permutation(1000)[:300]
-    assert np.array_equal(input_gradient(m, X[subset], ys[subset], objective), whole[subset])
-    assert np.array_equal(input_gradient(m, X[17], ys[17], objective), whole[17])
+    assert np.array_equal(rows(subset), whole[subset])
+    assert np.array_equal(rows(17), whole[17])
 
 
 @pytest.mark.parametrize("activation", ["tanh", "softplus"])

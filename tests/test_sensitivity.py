@@ -226,6 +226,8 @@ def test_curve_validates_metric(h_nonrobust, small_denoiser, val_ds):
         for bad in ({"path": "direct"}, {"jacobian_mode": "partial"}, {"objective": "bogus"}):
             with pytest.raises(ValueError):
                 curve(h_nonrobust, small_denoiser, val_ds.points[:5], val_ds.labels[:5], metric, **bad)
+    with pytest.raises(ValueError, match="at least one point"):
+        curve(h_nonrobust, small_denoiser, val_ds.points[:0], val_ds.labels[:0], "logit")
 
 
 def test_curve_csv_round_trip(tmp_path, h_nonrobust, small_denoiser, val_ds):
