@@ -156,8 +156,15 @@ def validate_config(raw: dict) -> dict:
     target = cfg["guidance"]["target_class"]
     if not 0 <= target < n_classes:
         raise ConfigError(f"config.guidance.target_class: {target} outside [0, {n_classes})")
-    if not all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in cfg["train"]["hidden"]):
+    train = cfg["train"]
+    if not all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in train["hidden"]):
         raise ConfigError("config.train.hidden: expected a list of positive integers")
+    if not (np.isfinite(train["lr"]) and train["lr"] > 0):
+        raise ConfigError("config.train.lr: expected a finite number > 0")
+    if train["batch_size"] < 1:
+        raise ConfigError("config.train.batch_size: expected a positive integer")
+    if train["epochs"] < 0:
+        raise ConfigError("config.train.epochs: expected a nonnegative integer")
     if cfg["sensitivity"]["n"] < 1:
         raise ConfigError("config.sensitivity.n: expected a positive integer")
     if not all(map(_is_number, cfg["sweep"]["scales"])):
@@ -293,13 +300,15 @@ def _svg_line_plot(series: list[tuple[str, np.ndarray, np.ndarray]], title: str,
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
+    # at 1e308 a one-point range stays empty after the + 1.0: plot it flat
+    x_span, y_span = (x_hi - x_lo) or 1.0, (y_hi - y_lo) or 1.0
     colors = ["#1f77b4", "#d62728", "#ff7f0e", "#2ca02c", "#9467bd", "#8c564b"]
 
     def sx(x):
-        return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
+        return pad + (x - x_lo) / x_span * (width - 2 * pad)
 
     def sy(y):
-        return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+        return height - pad - (y - y_lo) / y_span * (height - 2 * pad)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -343,7 +352,8 @@ def cmd_gen_data(cfg: dict, chash: str, out: Path) -> int:
 def cmd_train(cfg: dict, chash: str, out: Path, persona: str) -> int:
     spec = build_spec(cfg)
     schedule = build_schedule(cfg)
-    result = train_persona(cfg, persona, spec, schedule)
+    with np.errstate(all="ignore"):  # a diverging run ends in TrainingDiverged, reported by main
+        result = train_persona(cfg, persona, spec, schedule)
     path = _checkpoint_path(out, persona)
     nn.save_checkpoint(result.model, path)
     write_csv(out / f"loss_{persona}.csv", ["epoch", "loss"], enumerate(result.losses.tolist()), chash)
@@ -536,6 +546,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as e:
         # every ValueError raised below main is an input-validation failure
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except nn.TrainingDiverged as e:
+        print(f"error: training diverged: {e}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable")
 

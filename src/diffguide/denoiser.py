@@ -33,8 +33,8 @@ class AnalyticDenoiser:
     def __init__(self, spec: GmmSpec, schedule: Schedule):
         self.spec = spec
         self.schedule = schedule
-        # one table row per t = 0..T, row 0 being clean data (ab = 1)
-        self.tables = tb = ComponentTables(spec, np.concatenate(([1.0], schedule.alpha_bars)))
+        # one table row per step t = 0..T, like the schedule's
+        self.tables = tb = ComponentTables(spec, schedule.alpha_bar)
         if abs(tb.weights.sum() - 1.0) > 1e-12:
             raise ValueError("pooled component weights must sum to 1")
         self.dim = tb.means.shape[1]
@@ -42,7 +42,8 @@ class AnalyticDenoiser:
         # the Jacobian, laid out (row, d, d, K, 1) like the tables
         vecs = tb.cov_eigvecs
         shrink = np.moveaxis(tb.shrink[..., 0], -1, 1)  # (rows, K, d)
-        A = tb.sqrt_ab[:, None, None, None] * np.einsum("tkde,kfe->tkdf", vecs * shrink[:, :, None, :], vecs)
+        sa = schedule.sqrt_alpha_bar[:, None, None, None]
+        A = sa * np.einsum("tkde,kfe->tkdf", vecs * shrink[:, :, None, :], vecs)
         self.A = np.ascontiguousarray(np.moveaxis(A, 1, -1)[..., None])
 
     # -- internal -----------------------------------------------------------
@@ -56,13 +57,10 @@ class AnalyticDenoiser:
         rows, step-major (group i is at step t[i]), and the results stack the
         same way. Each step's tables are read once and broadcast over its
         group, so the stack equals s separate calls bit for bit."""
-        T = self.schedule.T
-        steps = t if isinstance(t, np.ndarray) else (t,)
-        for step in steps:
-            if not 0 <= step <= T:
-                raise ValueError(f"step index t={step} outside [0, {T}]")
-        if len(steps) == 0 or len(X) % len(steps):
-            raise ValueError(f"{len(X)} rows do not split into {len(steps)} steps")
+        self.schedule.check_steps(t)
+        n_steps = np.size(t)
+        if n_steps == 0 or len(X) % n_steps:
+            raise ValueError(f"{len(X)} rows do not split into {n_steps} steps")
         tb = self.tables
         d = self.dim
         # (..., d, K, n) offsets and (..., K, n) log joints; "..." is the step axis
@@ -70,7 +68,7 @@ class AnalyticDenoiser:
         r = np.exp(log_r - np.max(log_r, axis=-2, keepdims=True))
         r /= _ordered_sum(r, axis=-2)[..., None, :]  # responsibilities
         # component posterior means mu_k + sa * Sigma_k S_k^{-1} diff
-        sa = tb.sqrt_ab[t, None, None, None]
+        sa = self.schedule.sqrt_alpha_bar[t, None, None, None]
         comp_mean = tb.column_means + sa * _contract(tb.from_eigen, proj * tb.shrink[t])
         weighted = r[..., None, :, :] * comp_mean
         E = _ordered_sum(weighted, axis=-2)  # (..., d, n)

@@ -15,7 +15,7 @@ import numpy as np
 from . import classifier as clf
 from .denoiser import AnalyticDenoiser
 from .rng import substream
-from .schedule import Schedule, reverse_coefficients
+from .schedule import Schedule
 
 
 # -- stabilizers -------------------------------------------------------------
@@ -139,7 +139,7 @@ def guidance_gradient(cfg: GuidanceConfig, dn: AnalyticDenoiser, X, t, y, mean_x
         return clf.input_gradient(cfg.classifier, X, y, cfg.objective)
     v = clf.input_gradient(cfg.classifier, mean_x0, y, cfg.objective)
     if cfg.jacobian_mode == "stop_gradient":
-        sa = dn.tables.sqrt_ab[t, None, None]
+        sa = dn.schedule.sqrt_alpha_bar[t, None, None]
         return (v.reshape(len(sa), -1, v.shape[1]) / sa).reshape(v.shape)
     return np.einsum("npq,np->nq", jac, v)
 
@@ -216,8 +216,6 @@ def _run_chains(
         return a.reshape(S, n, *a.shape[1:])[guided].reshape(-1, *a.shape[1:])
     with np.errstate(all="ignore"):
         for t in range(T, 0, -1):
-            ab = schedule.alpha_bar(t)
-            sa = np.sqrt(ab)
             # one posterior pass feeds the guidance gradient and the reverse
             # step's noise prediction
             mean_x0, jac = dn._bundle(x, t, with_jacobian=cfg is not None and cfg.needs_jacobian)
@@ -226,13 +224,12 @@ def _run_chains(
                     cfg, dn, gather(x), t, cfg.target_class, gather(mean_x0), None if jac is None else gather(jac)
                 )
                 state, nu = stabilize(state, cfg.stabilizer, g)
-                shift = scale * schedule.sigma_sq(t) * nu
-            eps_hat = (x - sa * mean_x0) / np.sqrt(1.0 - ab)
-            coeff_x, coeff_eps, sigma_sq = reverse_coefficients(schedule, t)
-            x_next = coeff_x * x - coeff_eps * eps_hat
+                shift = scale * schedule.sigma_sq[t] * nu
+            eps_hat = (x - schedule.sqrt_alpha_bar[t] * mean_x0) / schedule.sqrt_one_minus_alpha_bar[t]
+            x_next = schedule.mean_coeff_x[t] * x - schedule.mean_coeff_eps[t] * eps_hat
             if t > 1:
                 # every scale's copy of a chain takes the chain's one draw
-                x_next = (x_next.reshape(S, n, d) + np.sqrt(sigma_sq) * zs[:, T - t]).reshape(S * n, d)
+                x_next = (x_next.reshape(S, n, d) + np.sqrt(schedule.sigma_sq[t]) * zs[:, T - t]).reshape(S * n, d)
             if cfg is not None:
                 x_next.reshape(S, n, d)[guided] += shift.reshape(-1, n, d)
             bad = active & ~np.all(np.isfinite(x_next), axis=1)

@@ -28,7 +28,7 @@ SWEEP_COLUMNS = {
 
 
 class EmptyBatchError(ValueError):
-    """Every chain in the batch diverged; there is nothing to score."""
+    """The batch holds no samples and no diverged chains: nothing was generated."""
 
 
 def _sym_sqrt(M: np.ndarray) -> np.ndarray:
@@ -99,25 +99,33 @@ def evaluate(
 
     Reference sets are drawn i.i.d. from the known mixture (pooled for fd,
     target class only for cfd), sized like the sample set. Deterministic in
-    (samples, seed).
+    (samples, seed). A batch of fewer than d + 1 samples cannot fit a
+    Gaussian and gets NaN fd and cfd; an empty one, whose n_diverged chains
+    all diverged, gets NaN accuracies too.
     """
     X = np.asarray(samples, dtype=np.float64)
-    if X.ndim != 2 or len(X) == 0:
-        raise EmptyBatchError("no surviving samples to evaluate")
+    if X.ndim != 2 or (len(X) == 0 and n_diverged == 0):
+        raise EmptyBatchError("no samples to evaluate")
+    n, d = X.shape
     rng = substream(seed, "evaluate-reference")
-    pooled_ref, _ = sample_labeled(spec, len(X), rng)
-    class_ref = sample_class_points(spec, target_class, len(X), rng)
+    pooled_ref, _ = sample_labeled(spec, n, rng)
+    class_ref = sample_class_points(spec, target_class, n, rng)
 
     oracle_logits = clf.predict_logits(clf.bayes_oracle(spec), X)
     # a row with no finite oracle logit has no Bayes class: a miss
     hit_oracle = (np.argmax(oracle_logits, axis=1) == target_class) & np.any(np.isfinite(oracle_logits), axis=1)
-    pred_guiding = np.argmax(clf.predict_logits(guiding, X), axis=1)
+    hit_guiding = np.argmax(clf.predict_logits(guiding, X), axis=1) == target_class
+    fd = cfd = float("nan")
+    if n > d:
+        fd, cfd = frechet_distance(X, pooled_ref), frechet_distance(X, class_ref)
+    with np.errstate(invalid="ignore"):  # no samples: 0 / 0 hits, a NaN accuracy
+        acc_oracle, acc_guiding = float(np.sum(hit_oracle) / n), float(np.sum(hit_guiding) / n)
     return MetricsReport(
-        target_accuracy_oracle=float(np.mean(hit_oracle)),
-        target_accuracy_guiding=float(np.mean(pred_guiding == target_class)),
-        fd=frechet_distance(X, pooled_ref),
-        cfd=frechet_distance(X, class_ref),
-        n_samples=len(X),
+        target_accuracy_oracle=acc_oracle,
+        target_accuracy_guiding=acc_guiding,
+        fd=fd,
+        cfd=cfd,
+        n_samples=n,
         n_diverged=int(n_diverged),
         config_hash=config_hash,
     )
@@ -149,26 +157,13 @@ def sweep(
     # row k * n_per_scale + i of the batch is chain i at scales[k]
     samples = batch.samples.reshape(len(scales), n_per_scale, dn.dim)
     diverged = batch.diverged.reshape(len(scales), n_per_scale)
-    rows = []
-    for s, X, div in zip(scales, samples, diverged):
-        kept = X[~div]
-        if len(kept) == 0:
-            report = MetricsReport(
-                float("nan"), float("nan"), float("nan"), float("nan"),
-                0, int(div.sum()), config_hash,
-            )
-        else:
-            report = evaluate(
-                kept,
-                dn.spec,
-                base_cfg.target_class,
-                base_cfg.classifier,
-                seed=seed,
-                n_diverged=int(div.sum()),
-                config_hash=config_hash,
-            )
-        rows.append((s, report))
-    return rows
+    return [
+        (s, evaluate(
+            X[~div], dn.spec, base_cfg.target_class, base_cfg.classifier,
+            seed=seed, n_diverged=int(div.sum()), config_hash=config_hash,
+        ))
+        for s, X, div in zip(scales, samples, diverged)
+    ]
 
 
 def save_sweep_csv(rows, path, config_hash: str = "") -> None:

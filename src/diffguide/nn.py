@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import Schedule
+from .schedule import Schedule, forward_sample
 from .synthdata import as_batch
 
 _ACTIVATIONS = ("tanh", "softplus")
@@ -245,9 +245,6 @@ def train(
     m, v, num, den = (np.zeros_like(params) for _ in range(4))
     step = 0
     losses = []
-    if schedule is not None:
-        # alpha_bar per drawn t, with t = 0 mapping to 1 (no noise)
-        abar_table = np.concatenate([[1.0], schedule.alpha_bars])
 
     for _ in range(epochs):
         order = shuffle_rng.permutation(len(X))
@@ -257,9 +254,7 @@ def train(
             xb, yb = X[idx], ys[idx]
             if noise_mode == "forward_noised":
                 t = noise_rng.integers(0, schedule.T + 1, size=len(idx))
-                eps = noise_rng.standard_normal(xb.shape)
-                ab = abar_table[t][:, None]
-                xb = np.sqrt(ab) * xb + np.sqrt(1.0 - ab) * eps
+                xb = forward_sample(schedule, xb, t, noise_rng.standard_normal(xb.shape))
             loss = _parameter_gradients(current, xb, yb, dWs, dbs)
             if not np.isfinite(loss):
                 raise TrainingDiverged(

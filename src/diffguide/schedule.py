@@ -1,8 +1,10 @@
-"""Diffusion time axis: noise schedule, forward noising, reverse-step coefficients.
+"""Diffusion time axis: noise schedule, per-step tables and forward noising.
 
-Steps are indexed 1..T. Step t owns beta_t = betas[t-1], alpha_t = 1 - beta_t
-and alpha_bar_t = prod_{s<=t} alpha_s. t = 0 denotes the clean data point and
-never enters these arrays.
+Steps are indexed 1..T and t = 0 denotes the clean data point. Step t owns
+beta_t = betas[t-1] and alpha_t = 1 - beta_t. Every per-step quantity is
+tabulated once, when the schedule is built, as a read-only array indexed
+by t = 0..T, so row t is step t and row 0 is clean data (alpha_bar_0 = 1).
+The reverse-step columns are NaN at row 0: no step leaves clean data.
 """
 
 from dataclasses import dataclass, field
@@ -12,51 +14,36 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Schedule:
-    """Immutable variance schedule with its derived cumulative products.
+    """Immutable variance schedule and its per-step tables, indexed t = 0..T.
 
-    posterior_variance_mode selects the reverse-step variance: "beta_t" uses
-    beta_t directly, "beta_tilde_t" uses beta_t * (1 - alpha_bar_{t-1}) /
-    (1 - alpha_bar_t), with the t = 1 value defined as beta_1.
+    alpha_bar_t = prod_{s<=t} alpha_s. The reverse transition at t has mean
+    mean_coeff_x[t] * x_t - mean_coeff_eps[t] * eps_hat, i.e.
+    (1/sqrt(alpha_t)) * (x_t - beta_t / sqrt(1 - alpha_bar_t) * eps_hat), and
+    variance sigma_sq[t]. posterior_variance_mode selects that variance:
+    "beta_t" uses beta_t directly, "beta_tilde_t" uses beta_t * (1 -
+    alpha_bar_{t-1}) / (1 - alpha_bar_t), with the t = 1 value defined as beta_1.
     """
 
     betas: np.ndarray
-    alphas: np.ndarray = field(repr=False)
-    alpha_bars: np.ndarray = field(repr=False)
-    posterior_variance_mode: str = "beta_t"
+    posterior_variance_mode: str
+    alpha_bar: np.ndarray = field(repr=False)
+    sqrt_alpha_bar: np.ndarray = field(repr=False)
+    sqrt_one_minus_alpha_bar: np.ndarray = field(repr=False)
+    sigma_sq: np.ndarray = field(repr=False)
+    mean_coeff_x: np.ndarray = field(repr=False)
+    mean_coeff_eps: np.ndarray = field(repr=False)
 
     @property
     def T(self) -> int:
         return len(self.betas)
 
-    def beta(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.betas[t - 1])
-
-    def alpha(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.alphas[t - 1])
-
-    def alpha_bar(self, t: int) -> float:
-        """Cumulative product at step t; alpha_bar(0) = 1 (clean data)."""
-        if t == 0:
-            return 1.0
-        self._check_t(t)
-        return float(self.alpha_bars[t - 1])
-
-    def sigma_sq(self, t: int) -> float:
-        """Reverse-step variance at step t per posterior_variance_mode."""
-        self._check_t(t)
-        if self.posterior_variance_mode == "beta_t":
-            return float(self.betas[t - 1])
-        if t == 1:
-            return float(self.betas[0])
-        num = 1.0 - self.alpha_bars[t - 2]
-        den = 1.0 - self.alpha_bars[t - 1]
-        return float(self.betas[t - 1] * num / den)
-
-    def _check_t(self, t: int) -> None:
-        if not 1 <= t <= self.T:
-            raise ValueError(f"step index t={t} outside [1, {self.T}]")
+    def check_steps(self, t) -> None:
+        """Raise ValueError unless t, a step or an integer array of steps,
+        lies in 0..T; a negative step would otherwise wrap round to row T."""
+        t = np.asarray(t)
+        if t.size and (t.min() < 0 or t.max() > self.T):
+            bad = t[(t < 0) | (t > self.T)].flat[0]
+            raise ValueError(f"step index t={bad} outside [0, {self.T}]")
 
 
 _VARIANCE_MODES = ("beta_t", "beta_tilde_t")
@@ -65,11 +52,12 @@ _VARIANCE_MODES = ("beta_t", "beta_tilde_t")
 def schedule_from_betas(
     betas, posterior_variance_mode: str = "beta_t", allow_degenerate: bool = False
 ) -> Schedule:
-    """Build a Schedule from an explicit beta vector.
+    """Build a Schedule, and its tables, from an explicit beta vector.
 
     allow_degenerate admits beta_t = 0 entries (constant alpha_bar), used for
     degenerate no-noise setups; the strict path requires beta_t in (0, 1) and
-    strictly decreasing alpha_bar.
+    strictly decreasing alpha_bar. Where alpha_bar_t = 1 the reverse mean's
+    eps coefficient (and beta_tilde_t) is 0/0 and tabulates as NaN.
     """
     betas = np.asarray(betas, dtype=np.float64)
     if betas.ndim != 1 or len(betas) < 1:
@@ -80,14 +68,23 @@ def schedule_from_betas(
     if not (lo_ok and np.all(betas < 1.0)):
         raise ValueError("betas must lie in (0, 1)")
     alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    if not allow_degenerate and not np.all(np.diff(alpha_bars) < 0.0):
+    ab = np.concatenate(([1.0], np.cumprod(alphas)))  # row 0: clean data
+    if not allow_degenerate and not np.all(np.diff(ab[1:]) < 0.0):
         raise ValueError("alpha_bar must be strictly decreasing")
-    if not np.all((alpha_bars > 0.0) & (alpha_bars <= 1.0)):
+    if not np.all((ab > 0.0) & (ab <= 1.0)):
         raise ValueError("alpha_bar left (0, 1]; schedule too aggressive for float64")
-    for arr in (betas, alphas, alpha_bars):
+    nan = [np.nan]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sqrt_1mab = np.sqrt(1.0 - ab)
+        sigma_sq = betas.copy()
+        if posterior_variance_mode == "beta_tilde_t":
+            sigma_sq[1:] = betas[1:] * (1.0 - ab[1:-1]) / (1.0 - ab[2:])
+        coeff_x = 1.0 / np.sqrt(alphas)
+        coeff_eps = betas / (np.sqrt(alphas) * sqrt_1mab[1:])
+    tables = [ab, np.sqrt(ab), sqrt_1mab] + [np.concatenate((nan, c)) for c in (sigma_sq, coeff_x, coeff_eps)]
+    for arr in [betas] + tables:
         arr.setflags(write=False)
-    return Schedule(betas, alphas, alpha_bars, posterior_variance_mode)
+    return Schedule(betas, posterior_variance_mode, *tables)
 
 
 def linear_schedule(
@@ -102,29 +99,22 @@ def linear_schedule(
     return schedule_from_betas(betas, posterior_variance_mode)
 
 
-def forward_sample(schedule: Schedule, x0, t: int, eps):
-    """Noised point sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps.
+def forward_sample(schedule: Schedule, x0, t, eps):
+    """Noised point sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps, the
+    one forward-noising recipe.
 
-    x0 and eps broadcast together; typically shape (d,) or (n, d).
+    x0 and eps share a shape, typically (d,) or (n, d). t is one step in
+    0..T (t = 0 returns x0), or an integer array of one step per row of an
+    (n, d) x0.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ValueError(f"x0 shape {x0.shape} != eps shape {eps.shape}")
-    schedule._check_t(t)
-    ab = schedule.alpha_bar(t)
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-
-
-def reverse_coefficients(schedule: Schedule, t: int) -> tuple[float, float, float]:
-    """(mean_coeff_x, mean_coeff_eps, sigma_sq) of the reverse transition at t.
-
-    The reverse mean is mean_coeff_x * x_t - mean_coeff_eps * eps_hat(x_t, t),
-    i.e. (1/sqrt(alpha_t)) * (x_t - beta_t / sqrt(1 - alpha_bar_t) * eps_hat).
-    """
-    schedule._check_t(t)
-    alpha = schedule.alpha(t)
-    ab = schedule.alpha_bar(t)
-    mean_coeff_x = 1.0 / np.sqrt(alpha)
-    mean_coeff_eps = schedule.beta(t) / (np.sqrt(alpha) * np.sqrt(1.0 - ab))
-    return float(mean_coeff_x), float(mean_coeff_eps), schedule.sigma_sq(t)
+    schedule.check_steps(t)
+    sa, s1 = schedule.sqrt_alpha_bar[t], schedule.sqrt_one_minus_alpha_bar[t]
+    if np.ndim(t):
+        if np.shape(t) != x0.shape[:-1]:
+            raise ValueError(f"{np.size(t)} steps for {x0.shape[:-1]} rows")
+        sa, s1 = sa[:, None], s1[:, None]
+    return sa * x0 + s1 * eps

@@ -91,7 +91,7 @@ def curve(
     for top in range(T, 0, -per_block):
         ts = np.arange(top, max(top - per_block, 0), -1)
         # the block's points, step-major: rows i*n..(i+1)*n are step ts[i]
-        X = np.concatenate([forward_sample(schedule, X0, t, eps) for t in ts])
+        X = forward_sample(schedule, np.tile(X0, (len(ts), 1)), np.repeat(ts, n), np.tile(eps, (len(ts), 1)))
         # the raw path reads no posterior pass, and only a gradient its Jacobian
         with_jacobian = metric != "logit" and recipe.needs_jacobian
         mean_x0, jac = dn._bundle(X, ts, with_jacobian) if path == "x0pred" else (None, None)

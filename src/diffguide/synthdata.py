@@ -252,7 +252,6 @@ class ComponentTables:
         def per_row(table):  # (rows, K, ...) -> (rows, ..., K, 1)
             return np.ascontiguousarray(np.moveaxis(table, 1, -1)[..., None])
 
-        self.sqrt_ab = sa[:, 0, 0]
         self.marg = per_row(marg)
         self.log_norm = np.sum(np.log(2.0 * np.pi * marg), axis=2)[..., None]  # (rows, K, 1)
         self.shifted_means = per_row(sa * means)  # sqrt(ab) mu_k

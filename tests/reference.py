@@ -3,7 +3,8 @@
 None of these runs in the pipeline. Each is a separate, literal
 implementation of a quantity the package computes another way: the implied
 noise prediction and one-step reverse transition written from the DDPM
-formulas, single-pair sensitivity ratios, class densities summed component by
+formulas with alpha_bar_t a plain running product over the schedule's
+betas, single-pair sensitivity ratios, class densities summed component by
 component, the MLP input gradient as a plain forward pass and backprop per
 block, and classifier accuracy under forward noise. `guided_gradient`
 and `jacobian` are thin conveniences over the pipeline's own posterior pass
@@ -18,7 +19,7 @@ from diffguide.classifier import ClassifierHandle, predict_logits
 from diffguide.denoiser import AnalyticDenoiser
 from diffguide.guidance import GuidanceConfig, guidance_gradient
 from diffguide.nn import MlpModel, log_softmax
-from diffguide.schedule import Schedule, forward_sample, reverse_coefficients
+from diffguide.schedule import Schedule, forward_sample
 from diffguide.synthdata import GmmSpec, LabeledDataset, _check_class, as_batch
 
 
@@ -50,12 +51,40 @@ def jacobian(dn: AnalyticDenoiser, x_t, t: int) -> np.ndarray:
     return J[0] if single else J
 
 
-# -- denoiser and reverse step ---------------------------------------------------
+# -- schedule, denoiser and reverse step -------------------------------------------
+
+
+def alpha_bar_product(schedule: Schedule, t: int) -> float:
+    """alpha_bar_t = prod_{s<=t} (1 - beta_s), multiplied out one step at a
+    time from the schedule's betas; 1 at t = 0 (clean data)."""
+    if not 0 <= t <= schedule.T:
+        raise ValueError(f"step index t={t} outside [0, {schedule.T}]")
+    ab = 1.0
+    for beta in schedule.betas[:t]:
+        ab *= 1.0 - beta
+    return float(ab)
+
+
+def ddpm_reverse_terms(schedule: Schedule, t: int) -> tuple[float, float, float]:
+    """The DDPM reverse transition at step t >= 1 (Ho et al. 2020, eq. 11):
+    the x_t and eps coefficients of its mean (1/sqrt(alpha_t)) (x_t - beta_t /
+    sqrt(1 - alpha_bar_t) eps), and its variance, beta_t, or beta_tilde_t =
+    beta_t (1 - alpha_bar_{t-1}) / (1 - alpha_bar_t) with beta_tilde_1 = beta_1."""
+    if not 1 <= t <= schedule.T:
+        raise ValueError(f"step index t={t} outside [1, {schedule.T}]")
+    beta = float(schedule.betas[t - 1])
+    alpha = 1.0 - beta
+    ab = alpha_bar_product(schedule, t)
+    coeff_x = 1.0 / np.sqrt(alpha)
+    coeff_eps = beta / (np.sqrt(alpha) * np.sqrt(1.0 - ab))
+    if schedule.posterior_variance_mode == "beta_t" or t == 1:
+        return coeff_x, coeff_eps, beta
+    return coeff_x, coeff_eps, beta * (1.0 - alpha_bar_product(schedule, t - 1)) / (1.0 - ab)
 
 
 def epsilon(dn: AnalyticDenoiser, x_t, t: int) -> np.ndarray:
     """Implied noise prediction (x_t - sqrt(ab_t) E[x0|x_t]) / sqrt(1 - ab_t)."""
-    ab = dn.schedule.alpha_bar(t)
+    ab = alpha_bar_product(dn.schedule, t)
     if ab >= 1.0:
         raise ValueError(f"alpha_bar({t}) = 1: noise prediction undefined")
     X, single = as_batch(x_t)
@@ -69,7 +98,7 @@ def x0_prediction(dn: AnalyticDenoiser, x_t, t: int) -> np.ndarray:
     Algebraically identical to posterior_mean_x0; kept as the literal
     rearrangement so the identity is testable.
     """
-    ab = dn.schedule.alpha_bar(t)
+    ab = alpha_bar_product(dn.schedule, t)
     if ab >= 1.0:
         raise ValueError(f"alpha_bar({t}) = 1: prediction undefined")
     X, single = as_batch(x_t)
@@ -82,7 +111,7 @@ def reverse_step(dn: AnalyticDenoiser, schedule: Schedule, x_t, t: int, rng) -> 
     """One unguided reverse transition; the final step t = 1 is noiseless."""
     x_t = np.asarray(x_t, dtype=np.float64)
     z = rng.standard_normal(x_t.shape) if t > 1 else np.zeros_like(x_t)
-    coeff_x, coeff_eps, sigma_sq = reverse_coefficients(schedule, t)
+    coeff_x, coeff_eps, sigma_sq = ddpm_reverse_terms(schedule, t)
     return coeff_x * x_t - coeff_eps * epsilon(dn, x_t, t) + np.sqrt(sigma_sq) * z
 
 
@@ -235,7 +264,7 @@ def accuracy(
             raise ValueError("noised preprocessing needs t and a schedule")
         rng = np.random.default_rng(seed)
         eps = rng.standard_normal(X.shape)
-        ab = schedule.alpha_bar(t)
+        ab = alpha_bar_product(schedule, t)
         X = np.sqrt(ab) * X + np.sqrt(1.0 - ab) * eps
         if preprocess == "x0_pred":
             if denoiser is None:

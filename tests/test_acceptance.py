@@ -82,7 +82,7 @@ def acc_curves(h_nonrobust, h_robust, h_oracle, denoiser, spec2, schedule400, va
     out = {k: np.empty(T) for k in keys}
     for t in range(1, T + 1):
         kw = dict(t=t, schedule=schedule400, seed=90_000 + t)
-        h_noisy = dg.bayes_oracle(_noised_spec(spec2, schedule400.alpha_bar(t)))
+        h_noisy = dg.bayes_oracle(_noised_spec(spec2, schedule400.alpha_bar[t]))
         out["bayes"][t - 1] = accuracy(
             h_noisy, val_ds.points, val_ds.labels, "forward_noise", **kw
         )
@@ -219,7 +219,7 @@ def test_analytic_denoiser_quadrature(schedule400):
     x_grid = np.linspace(-2.2, 2.2, 20)
     worst_quad = 0.0
     for t in t_grid:
-        ab = schedule400.alpha_bar(int(t))
+        ab = schedule400.alpha_bar[t]
         noise_var = 1.0 - ab
         for x_t in x_grid:
             center = x_t / np.sqrt(ab)
@@ -398,7 +398,7 @@ def test_sensitivity_orderings(sens_curves, spec2, schedule400):
         float(np.linalg.eigvalsh(c.cov).min()) for cls in spec2.classes for c in cls.components
     )
     ts = np.arange(1, schedule400.T + 1)
-    t_first = int(ts[1.0 - schedule400.alpha_bars >= lam_min][0])
+    t_first = int(ts[1.0 - schedule400.alpha_bar[1:] >= lam_min][0])
     sg_nr, sg_rb = sens_curves["sg_nonrobust"], sens_curves["sg_robust"]
     w = sg_nr.t >= t_first
     sl_frac = float(np.mean(sens_curves["sl_nonrobust"].mean > sens_curves["sl_robust"].mean))

@@ -190,6 +190,36 @@ def test_all_diverged_exit_code(tmp_path):
     assert _run("--config", str(path), "--out", out, "sample") == EXIT_ALL_DIVERGED
 
 
+def test_few_surviving_chains_still_write_the_sweep(tmp_path, capsys):
+    # at scale 1e308 one chain of ten survives: too few to fit a 2-D Gaussian
+    cfg = {
+        "seed": 7,
+        "schedule": {"T": 12},
+        "guidance": {"classifier": "bayes_oracle", "path": "raw", "stabilizer": {"kind": "identity"}},
+        "sweep": {"scales": [1e308], "n_per_scale": 10},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert _run("--config", str(path), "--out", str(out), "sweep") == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (out / "sweep_bayes_oracle_raw_identity.csv").read_text().splitlines()
+    s, acc, _, fd, cfd, n, n_div = lines[2].split(",")
+    assert 1 <= int(n) <= 2 and int(n) + int(n_div) == 10
+    assert (fd, cfd) == ("nan", "nan") and acc != "nan"
+
+
+def test_diverging_training_fails_closed(tmp_path, capsys):
+    # a finite, positive learning rate can still overflow the weights
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schedule": {"T": 12}, "data": {"n_train": 40}, "train": {"lr": 1e308, "epochs": 2}}))
+    for persona in ("non_robust", "robust"):
+        assert _run("--config", str(path), "--out", str(tmp_path / "run"), "train", "--persona", persona) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "training diverged" in err
+
+
 def test_usage_error_exits_1_not_2(tmp_path, capsys):
     # exit 2 means only "every chain diverged"
     for argv in (
@@ -285,6 +315,12 @@ def _two_class_mixture(prior0, mean0):
         ({**_two_class_mixture(0.5, [1e308, 0.0]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
         ({"guidance": {"classifier": "bayes_oracle"}, "sensitivity": {"n": 0}}, ["sensitivity"]),
         ({"guidance": {"classifier": "bayes_oracle"}, "sensitivity": {"n": -1990}}, ["sensitivity"]),
+        ({"train": {"lr": -1.0}}, ["train", "--persona", "non_robust"]),
+        ({"train": {"lr": 0}}, ["train", "--persona", "robust"]),
+        ({"train": {"lr": float("nan")}}, ["train", "--persona", "non_robust"]),
+        ({"train": {"lr": float("inf")}}, ["train", "--persona", "non_robust"]),
+        ({"train": {"batch_size": 0}}, ["train", "--persona", "non_robust"]),
+        ({"train": {"epochs": -1}}, ["train", "--persona", "robust"]),
     ],
     ids=[
         "mixture-without-components",
@@ -297,6 +333,12 @@ def _two_class_mixture(prior0, mean0):
         "huge-mean-oracle-sample",
         "zero-sensitivity-points",
         "negative-sensitivity-points",
+        "negative-learning-rate",
+        "zero-learning-rate",
+        "nan-learning-rate",
+        "infinite-learning-rate",
+        "zero-batch-size",
+        "negative-epochs",
     ],
 )
 def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):
@@ -306,6 +348,8 @@ def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+    for field in raw.get("train", {}):
+        assert f"config.train.{field}" in err  # the message names the field
 
 
 @pytest.mark.parametrize(

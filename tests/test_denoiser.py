@@ -7,7 +7,7 @@ from diffguide.denoiser import AnalyticDenoiser
 from diffguide.schedule import linear_schedule, schedule_from_betas
 from diffguide.synthdata import make_spec
 
-from reference import epsilon, guided_gradient, jacobian, x0_prediction
+from reference import alpha_bar_product, epsilon, guided_gradient, jacobian, x0_prediction
 
 
 def _single_gaussian_1d(mu=0.0, var=1.0):
@@ -56,7 +56,7 @@ def test_posterior_mean_quadrature_1d():
         ) / np.sqrt(2 * np.pi * 0.08)
 
     for t in (1, 10, 25, 40):
-        ab = sch.alpha_bar(t)
+        ab = sch.alpha_bar[t]
         for x_t in (-1.5, -0.2, 0.6, 1.4):
             def integrand_num(x0):
                 lik = np.exp(-0.5 * (x_t - np.sqrt(ab) * x0) ** 2 / (1 - ab))
@@ -222,7 +222,7 @@ def test_guided_gradient_stop_mode(denoiser, h_nonrobust, schedule400):
     t = 111
     v = dg.classifier.input_gradient(h_nonrobust, denoiser.posterior_mean_x0(x, t), 1)
     g = guided_gradient(denoiser, h_nonrobust, x, t, 1, path="x0pred", jacobian_mode="stop_gradient")
-    np.testing.assert_allclose(g, v / np.sqrt(schedule400.alpha_bar(t)), rtol=1e-15)
+    np.testing.assert_allclose(g, v / np.sqrt(alpha_bar_product(schedule400, t)), rtol=1e-15)
 
 
 def test_guided_gradient_validates_path(denoiser, h_nonrobust):
@@ -292,7 +292,7 @@ def test_batch_matches_single(denoiser):
 def _einsum_bundle(dn, X, t, with_jacobian):
     """The closed form as a literal einsum transcription, one contraction per
     call: the oracle the table-driven posterior kernel must reproduce."""
-    ab = dn.schedule.alpha_bar(t)
+    ab = alpha_bar_product(dn.schedule, t)
     sa = np.sqrt(ab)
     V, lam = dn.tables.cov_eigvecs, dn.tables.cov_eigvals
     marg = ab * lam + (1.0 - ab)

@@ -122,6 +122,18 @@ def test_evaluate_empty_errors(spec2, h_oracle):
         evaluate(np.empty((0, 2)), spec2, 0, h_oracle, seed=0)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_evaluate_scores_too_few_points_to_fit(spec2, h_oracle, n):
+    # d = 2: one or two survivors are too few to fit a Gaussian, but are scored
+    X = np.array([[1.0, 0.8], [-1.0, -0.8]])[:n]
+    rep = evaluate(X, spec2, 1, h_oracle, seed=0, n_diverged=10 - n)
+    assert (rep.target_accuracy_oracle, rep.target_accuracy_guiding) == (1.0 / n, 1.0 / n)
+    assert np.isnan(rep.fd) and np.isnan(rep.cfd)
+    assert (rep.n_samples, rep.n_diverged) == (n, 10 - n)
+    # three points fit
+    assert np.isfinite(evaluate(np.vstack([X, X + 0.1, X - 0.2])[:3], spec2, 1, h_oracle, seed=0).fd)
+
+
 def test_report_json_round_trip():
     import json
 
@@ -186,6 +198,7 @@ def test_sweep_all_diverged_rows_reported(small_denoiser, small_schedule, h_orac
     assert rep.n_samples == 0
     assert rep.n_diverged == 5
     assert np.isnan(rep.fd)
+    assert np.isnan(rep.target_accuracy_oracle) and np.isnan(rep.target_accuracy_guiding)
 
 
 def test_sweep_requires_scales(small_denoiser, small_schedule, h_oracle):
