@@ -22,7 +22,7 @@ from . import guidance as gd
 from . import metrics as mtr
 from . import nn
 from . import sensitivity as sens
-from .artifacts import write_csv
+from .artifacts import json_text, write_csv
 from .denoiser import AnalyticDenoiser
 from .rng import substream_seed
 from .schedule import linear_schedule
@@ -486,7 +486,7 @@ def cmd_report(out: Path, fmt: str) -> int:
     best = min(eligible, key=lambda r: r["cfd"]) if eligible else None
     summary = {"n_rows": len(rows), "best": best, "rows": rows}
     if fmt == "json":
-        (out / "report.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
+        (out / "report.json").write_text(json_text(summary, sort_keys=True, indent=1))
         print(f"wrote {out / 'report.json'}")
     else:
         header = ["setup", *mtr.SWEEP_COLUMNS, "best"]

@@ -8,13 +8,12 @@ classes (fd) or restricted to the target class (cfd). Features are the raw
 data coordinates; at this scale the data space is already the semantic space.
 """
 
-import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import classifier as clf
-from .artifacts import write_csv
+from .artifacts import json_text, write_csv
 from .guidance import GuidanceConfig, _run_chains
 from .rng import substream
 from .synthdata import GmmSpec, sample_class_points, sample_labeled
@@ -67,8 +66,10 @@ def fit_gaussian(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, cov
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frechet_distance(points_a: np.ndarray, points_b: np.ndarray) -> float:
-    """Frechet distance between Gaussians fitted to two point sets."""
+    """Frechet distance between Gaussians fitted to two point sets; far-out
+    points overflow the covariance quietly, and it reads inf."""
     return gaussian_frechet(*fit_gaussian(points_a), *fit_gaussian(points_b))
 
 
@@ -83,9 +84,10 @@ class MetricsReport:
     config_hash: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json_text(asdict(self), sort_keys=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(
     samples: np.ndarray,
     spec: GmmSpec,
@@ -101,7 +103,9 @@ def evaluate(
     target class only for cfd), sized like the sample set. Deterministic in
     (samples, seed). A batch of fewer than d + 1 samples cannot fit a
     Gaussian and gets NaN fd and cfd; an empty one, whose n_diverged chains
-    all diverged, gets NaN accuracies too.
+    all diverged, gets NaN accuracies too. Far-out but finite samples
+    overflow quietly: a row with no finite oracle logit counts as a miss,
+    and an overflowed covariance gives an infinite fd.
     """
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2 or (len(X) == 0 and n_diverged == 0):
@@ -118,8 +122,8 @@ def evaluate(
     fd = cfd = float("nan")
     if n > d:
         fd, cfd = frechet_distance(X, pooled_ref), frechet_distance(X, class_ref)
-    with np.errstate(invalid="ignore"):  # no samples: 0 / 0 hits, a NaN accuracy
-        acc_oracle, acc_guiding = float(np.sum(hit_oracle) / n), float(np.sum(hit_guiding) / n)
+    # no samples: 0 / 0 hits, a NaN accuracy
+    acc_oracle, acc_guiding = float(np.sum(hit_oracle) / n), float(np.sum(hit_guiding) / n)
     return MetricsReport(
         target_accuracy_oracle=acc_oracle,
         target_accuracy_guiding=acc_guiding,

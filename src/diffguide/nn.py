@@ -9,6 +9,7 @@ Hidden layers use a smooth activation (tanh by default) so input gradients
 vary continuously; the output layer is affine.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -29,11 +30,27 @@ class TrainingDiverged(RuntimeError):
     """Raised when the training loss becomes non-finite."""
 
 
+def _read_only(arrays) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return tuple(arrays)
+
+
 @dataclass(frozen=True)
 class MlpModel:
+    """An immutable MLP: init_mlp, train and load_checkpoint return models
+    whose weights and biases are read-only, so the Wᵀ copies cached on first
+    use stay equal to them. Training's working model is views into its
+    changing parameters and never reads weights_t."""
+
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     activation: str = "tanh"
+
+    @functools.cached_property
+    def weights_t(self) -> tuple[np.ndarray, ...]:
+        """A read-only C-contiguous copy of each Wᵀ, for input backprop."""
+        return _read_only([np.ascontiguousarray(w.T) for w in self.weights])
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -60,7 +77,7 @@ def init_mlp(layer_sizes: list[int], activation: str = "tanh", seed: int = 0) ->
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return MlpModel(tuple(weights), tuple(biases), activation)
+    return MlpModel(_read_only(weights), _read_only(biases), activation)
 
 
 def _forward_cached(model: MlpModel, X: np.ndarray):
@@ -123,9 +140,8 @@ def forward(model: MlpModel, x) -> np.ndarray:
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    m = np.max(logits, axis=-1, keepdims=True)
-    shifted = logits - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def log_softmax_target(logits, y) -> np.ndarray | float:
@@ -153,14 +169,15 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     onehot = np.zeros((padded, model.n_classes))  # padding rows' gradients are dropped
     onehot[np.arange(n), np.asarray(y, dtype=np.int64)] = 1.0
     grad = np.empty((padded, d))
+    weights_t = model.weights_t
     for rows, pre, acts in _block_passes(model, X):
         delta = onehot[rows].reshape(acts[-1].shape)
         if objective == "log_softmax":
             delta = delta - np.exp(log_softmax(acts[-1]))
-        for i in range(len(model.weights) - 1, 0, -1):
-            delta = np.matmul(delta, model.weights[i].T)
+        for i in range(len(weights_t) - 1, 0, -1):
+            delta = np.matmul(delta, weights_t[i])
             delta *= _derivative_in_place(model, pre, acts, i)
-        np.matmul(delta, model.weights[0].T, out=grad[rows].reshape(-1, _BLOCK, d))
+        np.matmul(delta, weights_t[0], out=grad[rows].reshape(-1, _BLOCK, d))
     return grad[0] if single else grad[:n]
 
 
@@ -283,10 +300,8 @@ def train(
         losses.append(float(np.mean(epoch_losses)))
 
     trained = MlpModel(
-        tuple(w.copy() for w in current.weights), tuple(b.copy() for b in current.biases), model.activation
+        _read_only([w.copy() for w in current.weights]), _read_only([b.copy() for b in current.biases]), model.activation
     )
-    for arr in trained.weights + trained.biases:
-        arr.setflags(write=False)
     if not all(np.all(np.isfinite(w)) for w in trained.weights):
         raise TrainingDiverged("non-finite parameters after training")
     return TrainResult(trained, np.asarray(losses))
@@ -313,8 +328,6 @@ def load_checkpoint(path) -> MlpModel:
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         w = np.array([float(v) for v in doc["weights"][i]]).reshape(fan_in, fan_out)
         b = np.array([float(v) for v in doc["biases"][i]])
-        w.setflags(write=False)
-        b.setflags(write=False)
         weights.append(w)
         biases.append(b)
-    return MlpModel(tuple(weights), tuple(biases), doc["activation"])
+    return MlpModel(_read_only(weights), _read_only(biases), doc["activation"])

@@ -207,10 +207,10 @@ def as_batch(x) -> tuple[np.ndarray, bool]:
 def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
     """Sum of a over axis, adding the terms one at a time in index order
     (numpy's reductions and einsum may pair or reorder them)."""
-    terms = np.moveaxis(a, axis, 0)
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
+    lead = (slice(None),) * (axis % a.ndim)
+    total = a[lead + (0,)].copy()
+    for k in range(1, a.shape[axis]):
+        total += a[lead + (k,)]
     return total
 
 

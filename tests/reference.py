@@ -6,9 +6,10 @@ noise prediction and one-step reverse transition written from the DDPM
 formulas with alpha_bar_t a plain running product over the schedule's
 betas, single-pair sensitivity ratios, class densities summed component by
 component, the MLP input gradient as a plain forward pass and backprop per
-block, and classifier accuracy under forward noise. `guided_gradient`
-and `jacobian` are thin conveniences over the pipeline's own posterior pass
-and gradient recipe, for tests that need one point at a time.
+block with its own log-softmax, and classifier accuracy under forward noise.
+`guided_gradient` and `jacobian` are thin conveniences over the pipeline's
+own posterior pass and gradient recipe, for tests that need one point at a
+time.
 """
 
 import csv
@@ -18,7 +19,7 @@ import numpy as np
 from diffguide.classifier import ClassifierHandle, predict_logits
 from diffguide.denoiser import AnalyticDenoiser
 from diffguide.guidance import GuidanceConfig, guidance_gradient
-from diffguide.nn import MlpModel, log_softmax
+from diffguide.nn import MlpModel
 from diffguide.schedule import Schedule, forward_sample
 from diffguide.synthdata import GmmSpec, LabeledDataset, _check_class, as_batch
 
@@ -190,6 +191,13 @@ def _log_gaussian(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarra
     quad = np.sum(diff * diff / vals, axis=1)
     logdet = np.sum(np.log(vals))
     return -0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, max-shifted, through np.max and np.sum."""
+    m = np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - m
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

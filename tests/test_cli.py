@@ -209,6 +209,37 @@ def test_few_surviving_chains_still_write_the_sweep(tmp_path, capsys):
     assert (fd, cfd) == ("nan", "nan") and acc != "nan"
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_metrics_are_written_as_json_null(tmp_path):
+    # at scale 1e308 one chain of ten survives: its fd and cfd are NaN
+    cfg = {
+        "seed": 7,
+        "schedule": {"T": 12},
+        "guidance": {
+            "classifier": "bayes_oracle", "path": "raw", "scale": 1e308, "stabilizer": {"kind": "identity"},
+        },
+        "sample": {"n": 10},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert _run("--config", str(path), "--out", str(out), "sample") == EXIT_OK
+    metrics = _strict_json((out / "metrics.json").read_text())
+    assert metrics["fd"] is None and metrics["cfd"] is None
+    assert metrics["n_samples"] + metrics["n_diverged"] == 10
+    (out / "sweep_far.csv").write_text(_SWEEP_HEADER + "1e+308,1,1,nan,nan,1,9\n1e+300,1,1,inf,-inf,5,5\n")
+    assert _run("--out", str(out), "--format", "json", "report") == EXIT_OK
+    report = _strict_json((out / "report.json").read_text())
+    assert [(r["fd"], r["cfd"]) for r in report["rows"]] == [(None, None), (None, None)]
+    assert report["best"] is None
+
+
 def test_diverging_training_fails_closed(tmp_path, capsys):
     # a finite, positive learning rate can still overflow the weights
     path = tmp_path / "cfg.json"

@@ -259,3 +259,23 @@ def test_checkpoint_round_trip_exact(tmp_path, model_nonrobust):
         assert np.array_equal(a, b)
     for a, b in zip(back.biases, model_nonrobust.biases):
         assert np.array_equal(a, b)
+
+
+def _assert_read_only_transposes(model):
+    assert len(model.weights_t) == len(model.weights)
+    for W, Wt in zip(model.weights, model.weights_t):
+        assert np.array_equal(Wt, W.T)
+        assert Wt.flags.c_contiguous and not Wt.flags.writeable
+
+
+def test_weights_t_are_read_only_contiguous_transposes(tmp_path, model_nonrobust):
+    _assert_read_only_transposes(model_nonrobust)
+    path = tmp_path / "model.json"
+    save_checkpoint(model_nonrobust, path)
+    _assert_read_only_transposes(load_checkpoint(path))
+
+
+def test_init_mlp_parameters_are_read_only():
+    m = init_mlp([2, 8, 3], seed=4)
+    assert not any(p.flags.writeable for p in m.weights + m.biases)
+    _assert_read_only_transposes(m)

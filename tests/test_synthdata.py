@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from diffguide.synthdata import (
+    _ordered_sum,
     make_spec,
     pooled_components,
     sample_class_points,
@@ -169,3 +170,26 @@ def test_csv_round_trip_exact(tmp_path):
     back = load_dataset_csv(path)
     assert np.array_equal(back.points, ds.points)
     assert np.array_equal(back.labels, ds.labels)
+
+
+def _index_order_sum(a, axis):
+    # a plain loop: term 0, then each later term added in index order
+    total = np.take(a, 0, axis=axis).copy()
+    for k in range(1, a.shape[axis]):
+        total = total + np.take(a, k, axis=axis)
+    return total
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 4, 50), (3, 2, 4, 50), (9, 3, 9), (4, 9, 3, 9)],
+    ids=["d-K-n", "step-d-K-n", "9-terms", "step-9-terms"],
+)
+def test_ordered_sum_adds_terms_in_index_order(shape):
+    rng = np.random.default_rng(41)
+    # magnitudes spread over 16 decades, so any reordering of a sum shows
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    for axis in range(-a.ndim, a.ndim):
+        assert np.array_equal(_ordered_sum(a, axis), _index_order_sum(a, axis)), axis
+    if shape[-1] == 9:  # numpy's pairwise sum would reorder these terms
+        assert not np.array_equal(np.sum(a, axis=-1), _index_order_sum(a, -1))
