@@ -53,7 +53,8 @@ def predict_logits(h: ClassifierHandle, x) -> np.ndarray:
     if h.kind != "bayes_oracle":
         return nn.forward(h.model, x)
     X, single = as_batch(x)
-    logits = np.ascontiguousarray(_oracle_pass(h, X)[0].T)
+    with np.errstate(over="ignore", invalid="ignore"):  # far points: see _oracle_pass
+        logits = np.ascontiguousarray(_oracle_pass(h, X)[0].T)
     return logits[0] if single else logits
 
 
@@ -64,14 +65,15 @@ def input_gradient(h: ClassifierHandle, x, y, objective: str = "log_softmax") ->
     X, single = as_batch(x)
     n = len(X)
     ys = np.full(n, y, dtype=np.int64) if np.ndim(y) == 0 else np.asarray(y, dtype=np.int64)
-    logits, grads = _oracle_pass(h, X)  # (C, n), (C, d, n)
-    out = grads[ys, :, np.arange(n)]  # gradient of the class-y logit, (n, d)
-    if objective != "logit":
-        peak = np.max(logits, axis=0)
-        e = np.exp(logits - peak)
-        p = e / _ordered_sum(e, axis=0)  # (C, n) class posteriors
-        out = np.ascontiguousarray(out - _ordered_sum(p[:, None] * grads, axis=0).T)
-        out[peak == -np.inf] = 0.0  # no finite class logit: -inf - -inf gave NaN above
+    with np.errstate(over="ignore", invalid="ignore"):  # far points: see _oracle_pass
+        logits, grads = _oracle_pass(h, X)  # (C, n), (C, d, n)
+        out = grads[ys, :, np.arange(n)]  # gradient of the class-y logit, (n, d)
+        if objective != "logit":
+            peak = logits.max(axis=0)
+            e = np.exp(logits - peak)
+            p = e / _ordered_sum(e, axis=0)  # (C, n) class posteriors
+            out = np.ascontiguousarray(out - _ordered_sum(p[:, None] * grads, axis=0).T)
+            out[peak == -np.inf] = 0.0  # no finite class logit: -inf - -inf gave NaN above
     return out[0] if single else out
 
 
@@ -82,22 +84,22 @@ def _oracle_pass(h: ClassifierHandle, X: np.ndarray):
     components' log joints log(prior_c w_k N(x; mu_k, Sigma_k)); its gradient
     is their responsibility-weighted sum of component scores. Where every
     component of a class underflows (log joints all -inf, as at points
-    beyond about 1e154), the class's logit is -inf and its gradient 0."""
+    beyond about 1e154), the class's logit is -inf and its gradient 0; the
+    callers run it with overflow and invalid-value warnings off."""
     tb = h.spec.clean_tables
     proj, log_joint = tb.log_joint(X, 0)  # (d, K, n), (K, n)
     score = tb.score(proj, 0)
-    peaks, logits, grads, lo = [], [], [], 0
-    for cls in h.spec.classes:
+    (n, d), C = X.shape, h.spec.n_classes
+    peaks, logits, grads, lo = np.empty((C, n)), np.empty((C, n)), np.empty((C, d, n)), 0
+    for c, cls in enumerate(h.spec.classes):
         hi = lo + len(cls.components)
-        m = np.max(log_joint[lo:hi], axis=0)
+        m = log_joint[lo:hi].max(axis=0, out=peaks[c])
         e = np.exp(log_joint[lo:hi] - m)
         total = _ordered_sum(e, axis=0)
-        peaks.append(m)
-        logits.append(m + np.log(total))
-        grads.append(_ordered_sum(e / total * score[:, lo:hi], axis=1))
+        logits[c] = m + np.log(total)
+        grads[c] = _ordered_sum(e / total * score[:, lo:hi], axis=1)
         lo = hi
-    logits, grads = np.stack(logits), np.stack(grads)
-    gone = np.stack(peaks) == -np.inf  # there -inf - -inf gave NaN above
+    gone = peaks == -np.inf  # there -inf - -inf gave NaN above
     if gone.any():
         logits[gone] = -np.inf
         grads.transpose(0, 2, 1)[gone] = 0.0

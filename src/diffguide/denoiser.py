@@ -65,7 +65,7 @@ class AnalyticDenoiser:
         d = self.dim
         # (..., d, K, n) offsets and (..., K, n) log joints; "..." is the step axis
         proj, log_r = tb.log_joint(X, t)
-        r = np.exp(log_r - np.max(log_r, axis=-2, keepdims=True))
+        r = np.exp(log_r - log_r.max(axis=-2, keepdims=True))
         r /= _ordered_sum(r, axis=-2)[..., None, :]  # responsibilities
         # component posterior means mu_k + sa * Sigma_k S_k^{-1} diff
         sa = self.schedule.sqrt_alpha_bar[t, None, None, None]

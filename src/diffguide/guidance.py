@@ -163,16 +163,13 @@ _CHAIN_LABEL = "chain"
 
 def _pregenerate_noise(chain_indices, T: int, d: int, seed: int):
     """Per-chain substreams: chain i draws its start, then one z per step
-    t = T..2, in that order. Chains never share a stream."""
-    n = len(chain_indices)
-    starts = np.empty((n, d))
-    zs = np.empty((n, max(T - 1, 0), d))
+    t = T..2, in that order, as one (T, d) fill. Chains never share a
+    stream. Returns the starts (n, d) and the zs (n, T - 1, d), views of
+    one buffer."""
+    draws = np.empty((len(chain_indices), T, d))
     for row, i in enumerate(chain_indices):
-        gen = substream(seed, _CHAIN_LABEL, int(i))
-        starts[row] = gen.standard_normal(d)
-        if T > 1:
-            zs[row] = gen.standard_normal((T - 1, d))
-    return starts, zs
+        substream(seed, _CHAIN_LABEL, int(i)).standard_normal(out=draws[row])
+    return draws[:, 0], draws[:, 1:]
 
 
 def _run_chains(
@@ -232,11 +229,14 @@ def _run_chains(
                 x_next = (x_next.reshape(S, n, d) + np.sqrt(schedule.sigma_sq[t]) * zs[:, T - t]).reshape(S * n, d)
             if cfg is not None:
                 x_next.reshape(S, n, d)[guided] += shift.reshape(-1, n, d)
-            bad = active & ~np.all(np.isfinite(x_next), axis=1)
-            if np.any(bad):
-                diverged_t[bad] = t
-                active[bad] = False
-                x_next[~active] = np.nan
+            # one finite pass per step; the per-row check runs only once it finds a non-finite value
+            finite = np.isfinite(x_next)
+            if not finite.all():
+                bad = active & ~finite.all(axis=1)
+                if bad.any():
+                    diverged_t[bad] = t
+                    active[bad] = False
+                    x_next[~active] = np.nan
             x = x_next
     return BatchResult(x, ~active, diverged_t)
 

@@ -206,10 +206,13 @@ def as_batch(x) -> tuple[np.ndarray, bool]:
 
 def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
     """Sum of a over axis, adding the terms one at a time in index order
-    (numpy's reductions and einsum may pair or reorder them)."""
+    (numpy's reductions and einsum may pair or reorder them). The result is
+    always a new array."""
     lead = (slice(None),) * (axis % a.ndim)
-    total = a[lead + (0,)].copy()
-    for k in range(1, a.shape[axis]):
+    if a.shape[axis] == 1:
+        return a[lead + (0,)].copy()
+    total = a[lead + (0,)] + a[lead + (1,)]
+    for k in range(2, a.shape[axis]):
         total += a[lead + (k,)]
     return total
 

@@ -4,7 +4,8 @@ None of these runs in the pipeline. Each is a separate, literal
 implementation of a quantity the package computes another way: the implied
 noise prediction and one-step reverse transition written from the DDPM
 formulas with alpha_bar_t a plain running product over the schedule's
-betas, single-pair sensitivity ratios, class densities summed component by
+betas, a chain's noise drawn call by call and a raw-path guided chain run
+a point at a time, single-pair sensitivity ratios, class densities summed component by
 component, the MLP input gradient as a plain forward pass and backprop per
 block with its own log-softmax, and classifier accuracy under forward noise.
 `guided_gradient` and `jacobian` are thin conveniences over the pipeline's
@@ -20,6 +21,7 @@ from diffguide.classifier import ClassifierHandle, predict_logits
 from diffguide.denoiser import AnalyticDenoiser
 from diffguide.guidance import GuidanceConfig, guidance_gradient
 from diffguide.nn import MlpModel
+from diffguide.rng import substream
 from diffguide.schedule import Schedule, forward_sample
 from diffguide.synthdata import GmmSpec, LabeledDataset, _check_class, as_batch
 
@@ -114,6 +116,38 @@ def reverse_step(dn: AnalyticDenoiser, schedule: Schedule, x_t, t: int, rng) -> 
     z = rng.standard_normal(x_t.shape) if t > 1 else np.zeros_like(x_t)
     coeff_x, coeff_eps, sigma_sq = ddpm_reverse_terms(schedule, t)
     return coeff_x * x_t - coeff_eps * epsilon(dn, x_t, t) + np.sqrt(sigma_sq) * z
+
+
+def chain_noise(seed: int, chain: int, T: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A chain's start (d,) and its zs for t = T..2 (T - 1, d), drawn as two
+    calls on its substream, the start first."""
+    gen = substream(seed, "chain", chain)
+    return gen.standard_normal(d), gen.standard_normal((T - 1, d))
+
+
+def guided_chain(
+    dn: AnalyticDenoiser,
+    schedule: Schedule,
+    h: ClassifierHandle,
+    y: int,
+    scale: float,
+    seed: int,
+    chain: int,
+    objective: str,
+) -> tuple[np.ndarray, int]:
+    """One chain guided on the raw path with no stabilizer, a point at a
+    time: the reverse transition, plus scale * variance * the gradient taken
+    at the step's input. Stops at the first step t whose point is not all
+    finite and returns (point, t); (final point, -1) when there is none."""
+    gen = substream(seed, "chain", chain)
+    x = gen.standard_normal(dn.dim)
+    with np.errstate(all="ignore"):  # the walk may overflow on purpose
+        for t in range(schedule.T, 0, -1):
+            shift = scale * ddpm_reverse_terms(schedule, t)[2] * guided_gradient(dn, h, x, t, y, objective=objective)
+            x = reverse_step(dn, schedule, x, t, gen) + shift
+            if not all(np.isfinite(v) for v in x):
+                return x, t
+    return x, -1
 
 
 # -- sensitivity -----------------------------------------------------------------

@@ -10,6 +10,9 @@ from diffguide.synthdata import make_spec, sample_dataset, three_class_benchmark
 from conftest import binomial_3sigma
 from reference import accuracy, class_density, log_class_density
 
+# oracle calls at far points must stay quiet: their -inf logits and 0 gradients are handled
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_oracle_equal_logits_at_midpoint():
     spec = make_spec(

@@ -7,6 +7,7 @@ import diffguide as dg
 from diffguide.guidance import (
     GuidanceConfig,
     StabilizerConfig,
+    _pregenerate_noise,
     adam,
     ema,
     identity,
@@ -19,7 +20,7 @@ from diffguide.metrics import frechet_distance
 from diffguide.rng import substream
 from diffguide.schedule import schedule_from_betas
 
-from reference import guided_gradient, reverse_step
+from reference import chain_noise, guided_chain, guided_gradient, reverse_step
 
 
 # -- stabilizers --------------------------------------------------------------
@@ -315,6 +316,57 @@ def test_divergence_detection_and_reporting(small_denoiser, small_schedule, h_or
     assert np.all(np.isnan(batch.samples))
     assert np.all(batch.diverged_t > 0)
     assert len(batch.kept()) == 0
+
+
+def test_partly_diverging_batch_matches_lone_chains_and_scalar_loop(small_denoiser, small_schedule, h_oracle):
+    # at this scale the logit guidance overshoots: chain 26 stays finite,
+    # chains 1 and 3 first leave the finite numbers at t = 1 and chains 0
+    # and 12 at t = 2, so the last step sees NaN rows and new bad ones at once
+    chains = [26, 0, 1, 12, 3]
+    cfg = GuidanceConfig(classifier=h_oracle, target_class=0, scale=1070.0, path="raw", objective="logit")
+    batch = sample_batch(small_denoiser, small_schedule, cfg, len(chains), 3, chain_indices=chains)
+    assert batch.diverged_t.tolist() == [-1, 2, 1, 2, 1]
+    for row, i in enumerate(chains):
+        alone = sample_batch(small_denoiser, small_schedule, cfg, 1, 3, chain_indices=[i])
+        assert alone.diverged_t[0] == batch.diverged_t[row]
+        x, t = guided_chain(small_denoiser, small_schedule, h_oracle, 0, 1070.0, 3, i, "logit")
+        assert t == batch.diverged_t[row]
+        if t == -1:
+            assert not batch.diverged[row]
+            assert np.array_equal(batch.samples[row], x)
+        else:
+            assert batch.diverged[row]
+            assert np.all(np.isnan(batch.samples[row]))
+
+
+def test_row_with_one_infinite_coordinate_is_all_nan(small_denoiser, small_schedule, h_oracle, monkeypatch):
+    # a gradient that is +inf in one coordinate of one row at the last step
+    # leaves that row [inf, finite]; the sampler reports it as all NaN
+    sampler_gradient = dg.guidance.guidance_gradient
+
+    def one_infinite(cfg, dn, X, t, *args):
+        g = sampler_gradient(cfg, dn, X, t, *args)
+        if t == 1:
+            g[1, 0] = np.inf
+        return g
+
+    monkeypatch.setattr(dg.guidance, "guidance_gradient", one_infinite)
+    cfg = GuidanceConfig(classifier=h_oracle, target_class=0, scale=1.0, path="raw")
+    batch = sample_batch(small_denoiser, small_schedule, cfg, 3, 8)
+    assert batch.diverged_t.tolist() == [-1, 1, -1]
+    assert np.all(np.isnan(batch.samples[1]))
+    assert np.all(np.isfinite(batch.samples[[0, 2]]))
+
+
+@pytest.mark.parametrize("T", [2, 12])
+@pytest.mark.parametrize("chains", [[4, 3, 2, 1, 0], [9, 2, 30, 7]], ids=["reversed", "scattered"])
+def test_pregenerated_noise_is_each_chains_start_then_its_zs(T, chains):
+    starts, zs = _pregenerate_noise(chains, T, 2, 13)
+    assert starts.shape == (len(chains), 2) and zs.shape == (len(chains), T - 1, 2)
+    for row, i in enumerate(chains):
+        start, z = chain_noise(13, i, T, 2)
+        assert starts[row].tobytes() == start.tobytes()
+        assert zs[row].tobytes() == z.tobytes()
 
 
 def test_oracle_guidance_lands_in_target_class(denoiser, schedule400, h_oracle, spec2):

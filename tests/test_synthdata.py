@@ -182,14 +182,16 @@ def _index_order_sum(a, axis):
 
 @pytest.mark.parametrize(
     "shape",
-    [(2, 4, 50), (3, 2, 4, 50), (9, 3, 9), (4, 9, 3, 9)],
-    ids=["d-K-n", "step-d-K-n", "9-terms", "step-9-terms"],
+    [(2, 4, 50), (3, 2, 4, 50), (9, 3, 9), (4, 9, 3, 9), (2, 1, 5), (1, 2, 3, 1)],
+    ids=["d-K-n", "step-d-K-n", "9-terms", "step-9-terms", "1-and-2-terms", "1-2-3-1-terms"],
 )
 def test_ordered_sum_adds_terms_in_index_order(shape):
     rng = np.random.default_rng(41)
     # magnitudes spread over 16 decades, so any reordering of a sum shows
     a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
     for axis in range(-a.ndim, a.ndim):
-        assert np.array_equal(_ordered_sum(a, axis), _index_order_sum(a, axis)), axis
+        total = _ordered_sum(a, axis)
+        assert np.array_equal(total, _index_order_sum(a, axis)), axis
+        assert not np.shares_memory(total, a), axis  # callers add into the result
     if shape[-1] == 9:  # numpy's pairwise sum would reorder these terms
         assert not np.array_equal(np.sum(a, axis=-1), _index_order_sum(a, -1))
