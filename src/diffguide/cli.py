@@ -237,39 +237,35 @@ def _datasets(cfg: dict, spec: GmmSpec):
     return train_ds, val_ds
 
 
+PERSONAS = ("non_robust", "robust")  # the trained classifiers; robust trains on forward-noised points
+
+
 def _checkpoint_path(out: Path, persona: str) -> Path:
     return out / f"classifier_{persona}.json"
-
-
-def train_persona(cfg: dict, persona: str, spec: GmmSpec, schedule) -> nn.TrainResult:
-    tr = cfg["train"]
-    sizes = [spec.dim] + list(tr["hidden"]) + [spec.n_classes]
-    model = nn.init_mlp(sizes, tr["activation"], seed=_seed(cfg, f"init-{persona}"))
-    train_ds, _ = _datasets(cfg, spec)
-    return nn.train(
-        model,
-        train_ds.points,
-        train_ds.labels,
-        noise_mode="clean" if persona == "non_robust" else "forward_noised",
-        schedule=schedule,
-        epochs=tr["epochs"],
-        batch_size=tr["batch_size"],
-        lr=tr["lr"],
-        seed=_seed(cfg, f"train-{persona}"),
-    )
 
 
 def _load_classifier(cfg: dict, out: Path, spec: GmmSpec) -> clf.ClassifierHandle:
     name = cfg["guidance"]["classifier"]
     if name == "bayes_oracle":
         return clf.bayes_oracle(spec)
-    if name not in ("non_robust", "robust"):
+    if name not in PERSONAS:
         raise ConfigError(f"unknown guidance classifier {name!r}")
     path = _checkpoint_path(out, name)
     if not path.exists():
         raise ConfigError(f"missing checkpoint {path}; run the train command first")
     model = nn.load_checkpoint(path)
+    if (model.input_dim, model.n_classes) != (spec.dim, spec.n_classes):
+        raise ConfigError(
+            f"checkpoint {path} maps {model.input_dim} inputs to {model.n_classes} classes; "
+            f"the config's data has {spec.dim} and {spec.n_classes}"
+        )
     return clf.ClassifierHandle(name, model=model)
+
+
+def _guided_setup(cfg: dict, out: Path) -> tuple[AnalyticDenoiser, clf.ClassifierHandle]:
+    """The denoiser of the config's spec and schedule, and the guiding classifier."""
+    spec = build_spec(cfg)
+    return AnalyticDenoiser(spec, build_schedule(cfg)), _load_classifier(cfg, out, spec)
 
 
 def build_guidance_config(cfg: dict, handle: clf.ClassifierHandle) -> gd.GuidanceConfig:
@@ -334,7 +330,7 @@ def _svg_line_plot(series: list[tuple[str, np.ndarray, np.ndarray]], title: str,
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_gen_data(cfg: dict, chash: str, out: Path) -> int:
+def cmd_gen_data(cfg: dict, chash: str, out: Path, args) -> int:
     spec = build_spec(cfg)
     train_ds, val_ds = _datasets(cfg, spec)
     save_dataset_csv(train_ds, out / "train.csv")
@@ -349,11 +345,23 @@ def cmd_gen_data(cfg: dict, chash: str, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: dict, chash: str, out: Path, persona: str) -> int:
+def cmd_train(cfg: dict, chash: str, out: Path, args) -> int:
+    persona, tr = args.persona, cfg["train"]
     spec = build_spec(cfg)
     schedule = build_schedule(cfg)
+    model = nn.init_mlp([spec.dim, *tr["hidden"], spec.n_classes], tr["activation"], seed=_seed(cfg, f"init-{persona}"))
+    train_ds, _ = _datasets(cfg, spec)
     with np.errstate(all="ignore"):  # a diverging run ends in TrainingDiverged, reported by main
-        result = train_persona(cfg, persona, spec, schedule)
+        result = nn.train(
+            model,
+            train_ds.points,
+            train_ds.labels,
+            schedule=schedule if persona == "robust" else None,
+            epochs=tr["epochs"],
+            batch_size=tr["batch_size"],
+            lr=tr["lr"],
+            seed=_seed(cfg, f"train-{persona}"),
+        )
     path = _checkpoint_path(out, persona)
     nn.save_checkpoint(result.model, path)
     write_csv(out / f"loss_{persona}.csv", ["epoch", "loss"], enumerate(result.losses.tolist()), chash)
@@ -361,32 +369,29 @@ def cmd_train(cfg: dict, chash: str, out: Path, persona: str) -> int:
     return EXIT_OK
 
 
-def cmd_sensitivity(cfg: dict, chash: str, out: Path, metric: str, path_kind: str, stabilizer: str | None) -> int:
-    spec = build_spec(cfg)
-    schedule = build_schedule(cfg)
-    dn = AnalyticDenoiser(spec, schedule)
-    handle = _load_classifier(cfg, out, spec)
-    _, val_ds = _datasets(cfg, spec)
+def cmd_sensitivity(cfg: dict, chash: str, out: Path, args) -> int:
+    dn, handle = _guided_setup(cfg, out)
+    _, val_ds = _datasets(cfg, dn.spec)
     n = min(cfg["sensitivity"]["n"], len(val_ds))
-    stab_cfg = build_stabilizer(json.loads(stabilizer), "--stabilizer") if stabilizer else None
+    stab_cfg = build_stabilizer(json.loads(args.stabilizer), "--stabilizer") if args.stabilizer else None
     curve_obj = sens.curve(
         handle,
         dn,
         val_ds.points[:n],
         val_ds.labels[:n],
-        metric,
-        path=path_kind,
+        args.metric,
+        path=args.path,
         stabilizer=stab_cfg,
         seed=_seed(cfg, "sensitivity-eps"),
         jacobian_mode=cfg["guidance"]["jacobian_mode"],
         objective=cfg["guidance"]["objective"],
     )
     stab_tag = "_" + _file_tag(stab_cfg) if stab_cfg else ""
-    stem = f"sensitivity_{metric}_{path_kind}{stab_tag}"
+    stem = f"sensitivity_{args.metric}_{args.path}{stab_tag}"
     sens.save_curve_csv(curve_obj, out / f"{stem}.csv", chash)
     _svg_line_plot(
-        [(f"{metric} ({path_kind})", curve_obj.t, curve_obj.mean)],
-        f"{metric} over t [{chash}]",
+        [(f"{args.metric} ({args.path})", curve_obj.t, curve_obj.mean)],
+        f"{args.metric} over t [{chash}]",
         out / f"{stem}.svg",
     )
     print(f"wrote {out / (stem + '.csv')}")
@@ -395,15 +400,11 @@ def cmd_sensitivity(cfg: dict, chash: str, out: Path, metric: str, path_kind: st
     return EXIT_OK
 
 
-def cmd_sample(cfg: dict, chash: str, out: Path) -> int:
-    spec = build_spec(cfg)
-    schedule = build_schedule(cfg)
-    dn = AnalyticDenoiser(spec, schedule)
-    handle = _load_classifier(cfg, out, spec)
+def cmd_sample(cfg: dict, chash: str, out: Path, args) -> int:
+    dn, handle = _guided_setup(cfg, out)
     gcfg = build_guidance_config(cfg, handle)
-    n = cfg["sample"]["n"]
-    batch = gd.sample_batch(dn, schedule, gcfg, n, _seed(cfg, "sample-chains"))
-    header = [f"x{i}" for i in range(spec.dim)] + ["diverged", "seed", "config_hash"]
+    batch = gd.sample_batch(dn, dn.schedule, gcfg, cfg["sample"]["n"], _seed(cfg, "sample-chains"))
+    header = [f"x{i}" for i in range(dn.dim)] + ["diverged", "seed", "config_hash"]
     rows = (x + [int(div), cfg["seed"], chash] for x, div in zip(batch.samples.tolist(), batch.diverged.tolist()))
     write_csv(out / "samples.csv", header, rows)
     kept = batch.kept()
@@ -412,7 +413,7 @@ def cmd_sample(cfg: dict, chash: str, out: Path) -> int:
         return EXIT_ALL_DIVERGED
     report = mtr.evaluate(
         kept,
-        spec,
+        dn.spec,
         gcfg.target_class,
         handle,
         seed=_seed(cfg, "sample-eval"),
@@ -425,15 +426,12 @@ def cmd_sample(cfg: dict, chash: str, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict, chash: str, out: Path) -> int:
-    spec = build_spec(cfg)
-    schedule = build_schedule(cfg)
-    dn = AnalyticDenoiser(spec, schedule)
-    handle = _load_classifier(cfg, out, spec)
+def cmd_sweep(cfg: dict, chash: str, out: Path, args) -> int:
+    dn, handle = _guided_setup(cfg, out)
     gcfg = build_guidance_config(cfg, handle)
     rows = mtr.sweep(
         dn,
-        schedule,
+        dn.schedule,
         gcfg,
         cfg["sweep"]["scales"],
         cfg["sweep"]["n_per_scale"],
@@ -506,15 +504,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--format", choices=["csv", "json"], default="csv", help="report output format")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen-data", help="write train/val datasets as CSV")
+    sub.add_parser("gen-data", help="write train/val datasets as CSV").set_defaults(run=cmd_gen_data)
     p_train = sub.add_parser("train", help="train one classifier persona")
-    p_train.add_argument("--persona", choices=["non_robust", "robust"], required=True)
+    p_train.add_argument("--persona", choices=PERSONAS, required=True)
+    p_train.set_defaults(run=cmd_train)
     p_sens = sub.add_parser("sensitivity", help="sensitivity curve CSV + SVG")
     p_sens.add_argument("--metric", choices=["logit", "gradient", "stabilized_gradient"], default="gradient")
     p_sens.add_argument("--path", choices=["raw", "x0pred"], default="raw")
     p_sens.add_argument("--stabilizer", default=None, help='JSON, e.g. {"kind":"ema","beta":0.99}')
-    sub.add_parser("sample", help="guided sample batch + metrics")
-    sub.add_parser("sweep", help="guidance scale sweep + plots")
+    p_sens.set_defaults(run=cmd_sensitivity)
+    sub.add_parser("sample", help="guided sample batch + metrics").set_defaults(run=cmd_sample)
+    sub.add_parser("sweep", help="guidance scale sweep + plots").set_defaults(run=cmd_sweep)
     sub.add_parser("report", help="consolidate sweeps, flag the best setup")
 
     try:
@@ -533,24 +533,23 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(out, args.format)
         cfg, chash = load_config(args.config, args.seed)
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg, chash, out)
-        if args.command == "train":
-            return cmd_train(cfg, chash, out, args.persona)
-        if args.command == "sensitivity":
-            return cmd_sensitivity(cfg, chash, out, args.metric, args.path, args.stabilizer)
-        if args.command == "sample":
-            return cmd_sample(cfg, chash, out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, chash, out)
-    except (ConfigError, ValueError) as e:
-        # every ValueError raised below main is an input-validation failure
+        return args.run(cfg, chash, out, args)
+    except (ConfigError, ValueError, RecursionError) as e:
+        # every ValueError raised below main is an input-validation failure,
+        # and a RecursionError comes only from parsing deeply nested JSON input
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:
+        # a config too large for this machine, such as a huge schedule.T
+        print(f"config error: out of memory: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as e:
+        # an input or artifact path that cannot be read or written, such as a directory
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except nn.TrainingDiverged as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

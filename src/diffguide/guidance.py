@@ -193,9 +193,13 @@ def _run_chains(
     on every row."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not np.array_equal(schedule.betas, dn.schedule.betas):
+        raise ValueError("the schedule's betas differ from the denoiser's")
     T, d = schedule.T, dn.dim
     if chain_indices is None:
         chain_indices = range(n)
+    if len(chain_indices) != n:
+        raise ValueError(f"{len(chain_indices)} chain indices for n = {n} chains")
     starts, zs = _pregenerate_noise(chain_indices, T, d, seed)
     n, S = len(starts), len(scales)
     x = np.tile(starts, (S, 1))

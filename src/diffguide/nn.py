@@ -47,6 +47,10 @@ class MlpModel:
     biases: tuple[np.ndarray, ...]
     activation: str = "tanh"
 
+    def __post_init__(self):
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+
     @functools.cached_property
     def weights_t(self) -> tuple[np.ndarray, ...]:
         """A read-only C-contiguous copy of each Wᵀ, for input backprop."""
@@ -69,8 +73,6 @@ def init_mlp(layer_sizes: list[int], activation: str = "tanh", seed: int = 0) ->
     """Symmetric uniform init scaled by 1/sqrt(fan_in); deterministic in seed."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"activation must be one of {_ACTIVATIONS}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -223,7 +225,6 @@ def train(
     points: np.ndarray,
     labels: np.ndarray,
     *,
-    noise_mode: str = "clean",
     schedule: Schedule | None = None,
     epochs: int = 50,
     batch_size: int = 128,
@@ -232,17 +233,13 @@ def train(
 ) -> TrainResult:
     """Minibatch cross-entropy training with bias-corrected adaptive moments.
 
-    noise_mode "clean" trains on the raw points. "forward_noised" replaces
-    every batch point by its forward-noised version at an independently drawn
+    Without a schedule it trains on the clean points. With one, every batch
+    point is replaced by its forward-noised version at an independently drawn
     step t ~ U{0..T} (t = 0 leaves the point clean), which is what makes the
     resulting classifier robust to diffusion noise. The noise draws come from
     their own seeded stream, so a clean run and a noised run share the same
     shuffling sequence.
     """
-    if noise_mode not in ("clean", "forward_noised"):
-        raise ValueError("noise_mode must be 'clean' or 'forward_noised'")
-    if noise_mode == "forward_noised" and schedule is None:
-        raise ValueError("forward_noised mode needs a schedule")
     X = np.asarray(points, dtype=np.float64)
     ys = np.asarray(labels, dtype=np.int64)
     if len(X) != len(ys):
@@ -269,7 +266,7 @@ def train(
         for start in range(0, len(X), batch_size):
             idx = order[start : start + batch_size]
             xb, yb = X[idx], ys[idx]
-            if noise_mode == "forward_noised":
+            if schedule is not None:
                 t = noise_rng.integers(0, schedule.T + 1, size=len(idx))
                 xb = forward_sample(schedule, xb, t, noise_rng.standard_normal(xb.shape))
             loss = _parameter_gradients(current, xb, yb, dWs, dbs)
@@ -321,13 +318,20 @@ def save_checkpoint(model: MlpModel, path) -> None:
 
 
 def load_checkpoint(path) -> MlpModel:
+    """The model save_checkpoint wrote to path. A missing field, a parameter
+    whose size disagrees with layer_sizes or an unknown activation raises
+    ValueError naming the file."""
     with open(path) as f:
         doc = json.load(f)
-    sizes = doc["layer_sizes"]
-    weights, biases = [], []
-    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = np.array([float(v) for v in doc["weights"][i]]).reshape(fan_in, fan_out)
-        b = np.array([float(v) for v in doc["biases"][i]])
-        weights.append(w)
-        biases.append(b)
-    return MlpModel(_read_only(weights), _read_only(biases), doc["activation"])
+    try:
+        sizes = doc["layer_sizes"]
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        if not shapes or not len(doc["weights"]) == len(doc["biases"]) == len(shapes):
+            raise ValueError(f"layer_sizes {sizes} do not fit the weight and bias lists")
+        weights = [np.array([float(v) for v in w]).reshape(shape) for w, shape in zip(doc["weights"], shapes)]
+        biases = [np.array([float(v) for v in b]).reshape(shape[1]) for b, shape in zip(doc["biases"], shapes)]
+        return MlpModel(_read_only(weights), _read_only(biases), doc["activation"])
+    except KeyError as e:
+        raise ValueError(f"checkpoint {path} lacks the field {e}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"checkpoint {path}: {e}") from e

@@ -51,7 +51,6 @@ def model_robust(train_ds, schedule400):
         init_mlp([2, 64, 64, 2], seed=3),
         train_ds.points,
         train_ds.labels,
-        noise_mode="forward_noised",
         schedule=schedule400,
         epochs=40,
         seed=4,

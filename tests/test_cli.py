@@ -63,6 +63,32 @@ def test_malformed_json_rejected(tmp_path):
     assert _run("--config", str(path), "--out", str(tmp_path), "gen-data") == EXIT_CONFIG
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "config, checkpoint, argv",
+    [
+        (_DEEP, None, ["sample"]),
+        (
+            json.dumps({**SMALL, "guidance": {"classifier": "bayes_oracle"}}),
+            None,
+            ["sensitivity", "--metric", "stabilized_gradient", "--stabilizer", _DEEP],
+        ),
+        (json.dumps(SMALL), _DEEP, ["sample"]),
+    ],
+    ids=["config", "stabilizer-flag", "checkpoint"],
+)
+def test_deeply_nested_json_fails_closed(tmp_path, capsys, config, checkpoint, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    if checkpoint:
+        (tmp_path / "classifier_non_robust.json").write_text(checkpoint)
+    assert _run("--config", str(path), "--out", str(tmp_path), *argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_validate_config_fills_defaults():
     cfg = validate_config({"seed": 5})
     assert cfg["seed"] == 5
@@ -131,6 +157,70 @@ def test_missing_checkpoint_is_config_error(tmp_path, small_cfg):
     assert _run("--config", small_cfg, "--out", out, "sample") == EXIT_CONFIG
 
 
+def _one_config_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: {},
+        lambda doc: {**doc, "activation": "relu"},
+        lambda doc: {**doc, "weights": doc["weights"][:-1]},
+        lambda doc: {**doc, "biases": [b[:-1] for b in doc["biases"]]},
+        lambda doc: {**doc, "biases": [[10**400] + b[1:] for b in doc["biases"]]},
+    ],
+    ids=["empty", "unknown-activation", "missing-layer", "short-biases", "integer-beyond-float"],
+)
+def test_malformed_checkpoint_fails_closed(tmp_path, capsys, small_cfg, edit):
+    out = tmp_path / "run"
+    assert _run("--config", small_cfg, "--out", str(out), "train", "--persona", "non_robust") == EXIT_OK
+    path = out / "classifier_non_robust.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert _run("--config", small_cfg, "--out", str(out), "sample") == EXIT_CONFIG
+    assert "classifier_non_robust.json" in _one_config_error(capsys)
+
+
+def test_checkpoint_for_other_classes_fails_closed(tmp_path, capsys, small_cfg):
+    three = tmp_path / "three.json"
+    three.write_text(json.dumps({**SMALL, "data": {**SMALL["data"], "preset": "three_class"}}))
+    out = str(tmp_path / "run")
+    assert _run("--config", str(three), "--out", out, "train", "--persona", "non_robust") == EXIT_OK
+    capsys.readouterr()
+    assert _run("--config", small_cfg, "--out", out, "sample") == EXIT_CONFIG
+    assert "to 3 classes" in _one_config_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "blocked, argv",
+    [
+        ("classifier_non_robust.json", ["sample"]),
+        ("sweep_x.csv", ["report"]),
+        ("train.csv", ["gen-data"]),
+    ],
+    ids=["checkpoint", "sweep-csv", "artifact"],
+)
+def test_unreadable_or_unwritable_path_fails_closed(tmp_path, capsys, blocked, argv):
+    # a directory where the command reads or writes a file
+    (tmp_path / blocked).mkdir()
+    assert _run("--out", str(tmp_path), *argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and blocked in err
+
+
+def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # what a schedule of 1e13 steps raises, without allocating anything
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
+
+    monkeypatch.setattr("diffguide.cli.build_schedule", too_large)
+    assert _run("--out", str(tmp_path), "train", "--persona", "robust") == EXIT_CONFIG
+    assert "out of memory" in _one_config_error(capsys)
+
+
 def test_repeat_runs_byte_identical(tmp_path, small_cfg):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (out_a, out_b):
@@ -188,6 +278,24 @@ def test_all_diverged_exit_code(tmp_path):
     path.write_text(json.dumps(cfg))
     out = str(tmp_path / "run")
     assert _run("--config", str(path), "--out", out, "sample") == EXIT_ALL_DIVERGED
+
+
+def test_sweep_with_every_chain_diverged_exits_2(tmp_path, capsys, monkeypatch):
+    # an infinite guidance gradient sends every guided chain to inf at its first step
+    monkeypatch.setattr("diffguide.guidance.guidance_gradient", lambda cfg, dn, X, *args: np.full(X.shape, np.inf))
+    cfg = {
+        "seed": 7,
+        "schedule": {"T": 12},
+        "guidance": {"classifier": "bayes_oracle", "path": "raw"},
+        "sweep": {"scales": [1.0, 5.0], "n_per_scale": 10},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert _run("--config", str(path), "--out", str(out), "sweep") == EXIT_ALL_DIVERGED
+    assert capsys.readouterr().err == "error: every chain diverged at every scale\n"
+    rows = (out / "sweep_bayes_oracle_raw_ema-0.99.csv").read_text().splitlines()[2:]
+    assert [r.split(",")[-2:] for r in rows] == [["0", "10"], ["0", "10"]]
 
 
 def test_few_surviving_chains_still_write_the_sweep(tmp_path, capsys):
@@ -441,8 +549,13 @@ _SWEEP_HEADER = "s,acc_oracle,acc_guiding,fd,cfd,n,n_diverged\n"
 
 @pytest.mark.parametrize(
     "text",
-    ["# config_hash: x\na,b\n1,2\n", _SWEEP_HEADER + "0,1,1,0.1\n", "# config_hash: x\n"],
-    ids=["header-without-sweep-columns", "row-missing-fields", "comments-only"],
+    [
+        "# config_hash: x\na,b\n1,2\n",
+        _SWEEP_HEADER + "0,1,1,0.1\n",
+        "# config_hash: x\n",
+        _SWEEP_HEADER + "0,1,1,0.1,0.2,forty,0\n",
+    ],
+    ids=["header-without-sweep-columns", "row-missing-fields", "comments-only", "unparsable-cell"],
 )
 def test_report_rejects_malformed_sweep_csv(tmp_path, capsys, text):
     (tmp_path / "sweep_bad.csv").write_text(text)

@@ -394,3 +394,24 @@ def test_batch_rejects_bad_n(small_denoiser, small_schedule, h_oracle):
         sample_batch(small_denoiser, small_schedule, cfg, 0, 1)
     with pytest.raises(ValueError):
         unconditional_batch(small_denoiser, small_schedule, 0, 1)
+
+
+def test_batch_refuses_chain_indices_that_contradict_n(small_denoiser, small_schedule, h_oracle):
+    cfg = GuidanceConfig(classifier=h_oracle, target_class=0, scale=1.0)
+    with pytest.raises(ValueError, match="3 chain indices for n = 10"):
+        sample_batch(small_denoiser, small_schedule, cfg, 10, 1, chain_indices=[0, 1, 2])
+
+
+def test_batch_refuses_a_schedule_other_than_the_denoisers(small_denoiser, small_schedule, h_oracle):
+    # same T, other betas: the denoiser's posterior would meet another
+    # schedule's reverse coefficients
+    cfg = GuidanceConfig(classifier=h_oracle, target_class=0, scale=1.0)
+    other = dg.linear_schedule(small_schedule.T, 1e-4, 0.04)
+    with pytest.raises(ValueError, match="betas differ"):
+        sample_batch(small_denoiser, other, cfg, 3, 1)
+    with pytest.raises(ValueError, match="betas differ"):
+        unconditional_batch(small_denoiser, other, 3, 1)
+    # an equal schedule built again is the same axis
+    again = dg.linear_schedule(small_schedule.T, 1e-4, 0.05)
+    expected = sample_batch(small_denoiser, small_schedule, cfg, 3, 1).samples
+    assert sample_batch(small_denoiser, again, cfg, 3, 1).samples.tobytes() == expected.tobytes()

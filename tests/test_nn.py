@@ -217,10 +217,7 @@ def test_zero_beta_schedule_equals_clean_mode(train_ds):
     m = init_mlp([2, 8, 2], seed=3)
     kw = dict(epochs=3, batch_size=64, seed=5)
     clean = train(m, train_ds.points[:400], train_ds.labels[:400], **kw)
-    noised = train(
-        m, train_ds.points[:400], train_ds.labels[:400],
-        noise_mode="forward_noised", schedule=sch0, **kw,
-    )
+    noised = train(m, train_ds.points[:400], train_ds.labels[:400], schedule=sch0, **kw)
     for a, b in zip(clean.model.weights, noised.model.weights):
         assert np.array_equal(a, b)
     assert np.array_equal(clean.losses, noised.losses)
@@ -273,6 +270,15 @@ def test_weights_t_are_read_only_contiguous_transposes(tmp_path, model_nonrobust
     path = tmp_path / "model.json"
     save_checkpoint(model_nonrobust, path)
     _assert_read_only_transposes(load_checkpoint(path))
+
+
+def test_unknown_activation_is_refused_when_a_model_is_built():
+    # not run as softplus, the fallback branch of the forward pass
+    with pytest.raises(ValueError, match="activation must be one of"):
+        init_mlp([2, 4, 2], "relu")
+    m = init_mlp([2, 4, 2])
+    with pytest.raises(ValueError, match="activation must be one of"):
+        MlpModel(m.weights, m.biases, "relu")
 
 
 def test_init_mlp_parameters_are_read_only():
