@@ -55,27 +55,33 @@ def predict_logits(h: ClassifierHandle, x) -> np.ndarray:
 
 
 def input_gradient(h: ClassifierHandle, x, y, objective: str = "log_softmax") -> np.ndarray:
-    """Gradient of the class-y objective w.r.t. the input, for any persona."""
+    """Gradient of the class-y objective w.r.t. the input, for any persona.
+    y is one class for every row or an array of one class per row."""
     if h.kind != "bayes_oracle":
         return nn.input_gradient(h.model, x, y, objective)
+    if objective not in nn._OBJECTIVES:
+        raise ValueError(f"objective must be one of {nn._OBJECTIVES}")
     X, single = as_batch(x)
-    n = len(X)
-    ys = np.full(n, y, dtype=np.int64) if np.ndim(y) == 0 else np.asarray(y, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # far points: see _oracle_pass
-        logits, grads = _oracle_pass(h, X)  # (C, n), (C, d, n)
-        out = grads[ys, :, np.arange(n)]  # gradient of the class-y logit, (n, d)
+        logits, grads, some_gone = _oracle_pass(h, X)  # (C, n), (C, d, n)
+        # gradient of the class-y logit (d, n): one class's row of the pass,
+        # or a gather of each row's own class
+        g = grads[int(y)] if np.ndim(y) == 0 else grads[np.asarray(y, dtype=np.int64), :, np.arange(len(X))].T
         if objective != "logit":
             peak = logits.max(axis=0)
             e = np.exp(logits - peak)
             p = e / _ordered_sum(e, axis=0)  # (C, n) class posteriors
-            out = np.ascontiguousarray(out - _ordered_sum(p[:, None] * grads, axis=0).T)
-            out[peak == -np.inf] = 0.0  # no finite class logit: -inf - -inf gave NaN above
+            g = g - _ordered_sum(p[:, None] * grads, axis=0)
+            if some_gone:
+                g[:, peak == -np.inf] = 0.0  # no finite class logit: -inf - -inf gave NaN above
+        out = np.ascontiguousarray(g.T)  # a new (n, d) array on either objective
     return out[0] if single else out
 
 
 def _oracle_pass(h: ClassifierHandle, X: np.ndarray):
     """Oracle logits (C, n) and logit gradients (C, d, n) from one pass over
-    the pooled components at clean data. Class c's logit is the log-sum-exp,
+    the pooled components at clean data, and whether some class of some row
+    is gone (see below). Class c's logit is the log-sum-exp,
     shifted by its own max so that far points do not underflow, of its
     components' log joints log(prior_c w_k N(x; mu_k, Sigma_k)); its gradient
     is their responsibility-weighted sum of component scores. Where every
@@ -96,7 +102,8 @@ def _oracle_pass(h: ClassifierHandle, X: np.ndarray):
         grads[c] = _ordered_sum(e / total * score[:, lo:hi], axis=1)
         lo = hi
     gone = peaks == -np.inf  # there -inf - -inf gave NaN above
-    if gone.any():
+    some_gone = bool(gone.any())
+    if some_gone:
         logits[gone] = -np.inf
         grads.transpose(0, 2, 1)[gone] = 0.0
-    return logits, grads
+    return logits, grads, some_gone

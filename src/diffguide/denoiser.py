@@ -58,7 +58,7 @@ class AnalyticDenoiser:
         same way. Each step's tables are read once and broadcast over its
         group, so the stack equals s separate calls bit for bit."""
         self.schedule.check_steps(t)
-        n_steps = np.size(t)
+        n_steps = len(t) if isinstance(t, np.ndarray) else 1  # as tb.log_joint tells them apart
         if n_steps == 0 or len(X) % n_steps:
             raise ValueError(f"{len(X)} rows do not split into {n_steps} steps")
         tb = self.tables

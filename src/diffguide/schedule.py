@@ -38,11 +38,19 @@ class Schedule:
         return len(self.betas)
 
     def check_steps(self, t) -> None:
-        """Raise ValueError unless t, a step or an integer array of steps,
-        lies in 0..T; a negative step would otherwise wrap round to row T."""
-        t = np.asarray(t)
-        if t.size and (t.min() < 0 or t.max() > self.T):
-            bad = t[(t < 0) | (t > self.T)].flat[0]
+        """Raise ValueError unless t is an integer step in 0..T or an integer
+        array of such steps. A negative step would otherwise wrap round to
+        row T; a bool step would index the tables as a mask, and a float
+        step would not index them at all."""
+        if type(t) is int or isinstance(t, np.integer):  # one step, the sampler's case
+            if not 0 <= t <= self.T:
+                raise ValueError(f"step index t={t} outside [0, {self.T}]")
+            return
+        steps = np.asarray(t)
+        if steps.dtype.kind not in "iu":
+            raise ValueError(f"step index t={t!r} is not an integer or an integer array")
+        if steps.size and (steps.min() < 0 or steps.max() > self.T):
+            bad = steps[(steps < 0) | (steps > self.T)].flat[0]
             raise ValueError(f"step index t={bad} outside [0, {self.T}]")
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from diffguide import classifier
 from diffguide.classifier import ClassifierHandle, bayes_oracle, input_gradient, predict_logits
 from diffguide.nn import init_mlp, log_softmax, log_softmax_target
 from diffguide.schedule import schedule_from_betas
@@ -270,6 +271,54 @@ def test_oracle_rows_are_shard_invariant(spec2, objective):
         np.testing.assert_array_equal(whole, shards)
         logit_shards = np.concatenate([predict_logits(h, X[i : i + 64]) for i in range(0, 1000, 64)])
         np.testing.assert_array_equal(predict_logits(h, X), logit_shards)
+
+
+def _rows_near_and_far(spec, seed):
+    """Random rows, a row at a component mean, and rows beyond 1e154 where
+    every class is gone; for _spec3, also rows where one class is gone."""
+    d = spec.dim
+    X = np.random.default_rng(seed).standard_normal((200, d)) * 1.5
+    far = [np.full(d, 1e155), np.full(d, -1e160)]
+    if spec.dim == 3:
+        far += [[5.89e153, 0.0, 0.0], [0.0, 3.24e153, 0.0]]
+    return np.concatenate([X, [spec.classes[-1].components[0].mean], far])
+
+
+@pytest.mark.parametrize("objective", ["log_softmax", "logit"])
+def test_oracle_scalar_class_equals_per_row_classes_bitwise(monkeypatch, objective):
+    # a scalar class reads its own row of the pass, a class array gathers
+    # each row's; both give the same bits, and a new C-contiguous array
+    buffers = []
+
+    def recording_pass(h, X):
+        out = real_pass(h, X)
+        buffers.append(out[1])
+        return out
+
+    real_pass = classifier._oracle_pass
+    monkeypatch.setattr(classifier, "_oracle_pass", recording_pass)
+    for spec in (two_class_benchmark(), three_class_benchmark(), _spec3()):
+        h = bayes_oracle(spec)
+        X = _rows_near_and_far(spec, seed=11)
+        logits = predict_logits(h, X)
+        gone = np.all(logits == -np.inf, axis=1)
+        assert gone.sum() == 2 and np.any(logits[~gone] == -np.inf) == (spec.dim == 3)
+        for y in range(spec.n_classes):
+            got = input_gradient(h, X, y, objective)
+            assert got.flags.c_contiguous and got.shape == X.shape
+            assert not np.shares_memory(got, buffers[-1])
+            want = input_gradient(h, X, np.full(len(X), y), objective)
+            assert got.tobytes() == want.tobytes(), (spec.n_classes, y)
+            assert not np.isnan(got).any() and np.all(got[gone] == 0.0)
+            if objective == "logit":
+                assert np.all(got[logits[:, y] == -np.inf] == 0.0)
+
+
+@pytest.mark.parametrize("persona", ["bayes_oracle", "non_robust"])
+def test_unknown_objective_is_refused_by_every_persona(h_oracle, h_nonrobust, persona):
+    h = h_oracle if persona == "bayes_oracle" else h_nonrobust
+    with pytest.raises(ValueError, match="objective must be one of"):
+        input_gradient(h, np.zeros((3, 2)), 1, "nonsense")
 
 
 def test_mlp_handle_gradient_delegates(h_nonrobust, model_nonrobust):

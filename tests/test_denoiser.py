@@ -381,6 +381,30 @@ def test_bundle_rejects_steps_outside_schedule(denoiser, schedule400):
             denoiser._bundle(X, np.array([5, t, 7]), with_jacobian=True)
 
 
+@pytest.mark.parametrize(
+    "t",
+    [True, 2.5, np.float64(3.0), np.array([5.0, 7.0]), np.array([True, False])],
+    ids=["bool", "float", "np-float64", "float-array", "bool-array"],
+)
+def test_bundle_rejects_non_integer_steps(denoiser, t):
+    # unchecked, a bool step would broadcast the tables as a mask and a float step would not index them
+    X = np.zeros((2, 2))
+    for with_jacobian in (False, True):
+        with pytest.raises(ValueError, match="is not an integer"):
+            denoiser._bundle(X, t, with_jacobian)
+    if np.ndim(t) == 0:
+        with pytest.raises(ValueError, match="is not an integer"):
+            denoiser.posterior_mean_x0(X, t)
+
+
+def test_bundle_takes_numpy_integer_steps(denoiser):
+    X = np.random.default_rng(35).standard_normal((4, 2))
+    for t in (np.int64(200), np.int32(200), np.uint16(200)):
+        assert np.array_equal(denoiser.posterior_mean_x0(X, t), denoiser.posterior_mean_x0(X, 200))
+    E, _ = denoiser._bundle(X, np.array([200, 7], dtype=np.int32))
+    assert np.array_equal(E, denoiser._bundle(X, np.array([200, 7]))[0])
+
+
 def test_bundle_rejects_rows_that_do_not_split_into_the_steps(denoiser):
     for rows, steps in ((5, [3, 2]), (3, [9, 8, 7, 6]), (4, [])):
         for with_jacobian in (False, True):

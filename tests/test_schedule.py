@@ -213,6 +213,33 @@ def test_reverse_coefficients_range(schedule400):
             schedule400.check_steps(t)
 
 
+@pytest.mark.parametrize(
+    "t",
+    [True, np.bool_(False), 2.5, np.float64(3.0), np.array([5.0, 7.0]), np.array([True, False])],
+    ids=["bool", "np-bool", "float", "np-float64", "float-array", "bool-array"],
+)
+def test_non_integer_steps_are_refused(schedule400, t):
+    # unchecked, a bool step would index the tables as a mask and a float step would not index them
+    with pytest.raises(ValueError, match=r"step index t=.* is not an integer"):
+        schedule400.check_steps(t)
+    rows = np.zeros((np.size(t), 2))
+    with pytest.raises(ValueError, match="is not an integer"):
+        forward_sample(schedule400, rows, t, rows)
+
+
+def test_integer_steps_of_every_kind_pass(schedule400):
+    x = np.ones(2)
+    for t in (0, 400, np.int64(7), np.int32(400), np.uint8(3), np.intp(0)):
+        schedule400.check_steps(t)
+        assert np.array_equal(forward_sample(schedule400, x, t, x), forward_sample(schedule400, x, int(t), x))
+    for dtype in (np.int64, np.int32, np.uint16):
+        schedule400.check_steps(np.array([0, 400, 7], dtype=dtype))
+    schedule400.check_steps(np.array([], dtype=np.int64))
+    for t in (np.int64(401), np.int32(-1), np.array([2, 401], dtype=np.uint16)):
+        with pytest.raises(ValueError, match=r"outside \[0, 400\]"):
+            schedule400.check_steps(t)
+
+
 @pytest.mark.parametrize("mode", ["beta_t", "beta_tilde_t"])
 def test_degenerate_schedule_builds_without_warning(mode):
     # at alpha_bar = 1 the eps coefficient (and beta_tilde) is 0/0
