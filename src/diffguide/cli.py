@@ -10,6 +10,7 @@ significant digits. Plots are self-contained SVG with no timestamps.
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
@@ -141,6 +142,8 @@ def validate_config(raw: dict) -> dict:
     cfg = default_config()
     for section, val in raw.items():
         if section == "data" and "classes" in val:
+            if "preset" in val:
+                raise ConfigError("config.data: names both preset and classes; give one of them")
             del cfg["data"]["preset"]  # an inline mixture replaces the default preset
         # a nested object (the stabilizer) replaces its default outright
         cfg[section] = {**cfg[section], **copy.deepcopy(val)} if isinstance(val, dict) else val
@@ -254,18 +257,14 @@ def _load_classifier(cfg: dict, out: Path, spec: GmmSpec) -> clf.ClassifierHandl
     if not path.exists():
         raise ConfigError(f"missing checkpoint {path}; run the train command first")
     model = nn.load_checkpoint(path)
+    if not all(np.isfinite(p).all() for p in model.weights + model.biases):
+        raise ConfigError(f"checkpoint {path} holds a non-finite weight or bias")
     if (model.input_dim, model.n_classes) != (spec.dim, spec.n_classes):
         raise ConfigError(
             f"checkpoint {path} maps {model.input_dim} inputs to {model.n_classes} classes; "
             f"the config's data has {spec.dim} and {spec.n_classes}"
         )
     return clf.ClassifierHandle(name, model=model)
-
-
-def _guided_setup(cfg: dict, out: Path) -> tuple[AnalyticDenoiser, clf.ClassifierHandle]:
-    """The denoiser of the config's spec and schedule, and the guiding classifier."""
-    spec = build_spec(cfg)
-    return AnalyticDenoiser(spec, build_schedule(cfg)), _load_classifier(cfg, out, spec)
 
 
 def build_guidance_config(cfg: dict, handle: clf.ClassifierHandle) -> gd.GuidanceConfig:
@@ -281,24 +280,28 @@ def build_guidance_config(cfg: dict, handle: clf.ClassifierHandle) -> gd.Guidanc
     )
 
 
+def _guided_setup(cfg: dict, out: Path) -> tuple[AnalyticDenoiser, gd.GuidanceConfig]:
+    """The denoiser of the config's spec and schedule, and the config's guidance recipe."""
+    spec = build_spec(cfg)
+    return AnalyticDenoiser(spec, build_schedule(cfg)), build_guidance_config(cfg, _load_classifier(cfg, out, spec))
+
+
 # -- SVG plotting (no external dependency; deliberately timestamp-free) -------
 
 
-def _svg_line_plot(series: list[tuple[str, np.ndarray, np.ndarray]], title: str, path) -> None:
-    width, height, pad = 640, 400, 50
-    xs_all = np.concatenate([s[1] for s in series])
-    ys_all = np.concatenate([s[2] for s in series])
-    finite = np.isfinite(ys_all)
-    ys_all = ys_all[finite] if finite.any() else np.array([0.0, 1.0])
-    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
-    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+def _svg_line_plot(label: str, xs: np.ndarray, ys: np.ndarray, title: str, path) -> None:
+    width, height, pad, color = 640, 400, 50, "#1f77b4"
+    xs, ys = np.asarray(xs), np.asarray(ys, dtype=float)
+    ok = np.isfinite(ys)
+    ys_ok = ys[ok] if ok.any() else np.array([0.0, 1.0])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys_ok.min()), float(ys_ok.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     # at 1e308 a one-point range stays empty after the + 1.0: plot it flat
     x_span, y_span = (x_hi - x_lo) or 1.0, (y_hi - y_lo) or 1.0
-    colors = ["#1f77b4", "#d62728", "#ff7f0e", "#2ca02c", "#9467bd", "#8c564b"]
 
     def sx(x):
         return pad + (x - x_lo) / x_span * (width - 2 * pad)
@@ -306,6 +309,7 @@ def _svg_line_plot(series: list[tuple[str, np.ndarray, np.ndarray]], title: str,
     def sy(y):
         return height - pad - (y - y_lo) / y_span * (height - 2 * pad)
 
+    pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs[ok], ys[ok]))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -316,14 +320,10 @@ def _svg_line_plot(series: list[tuple[str, np.ndarray, np.ndarray]], title: str,
         f'<text x="{width - pad}" y="{height - pad + 20}" text-anchor="end" font-size="11">{x_hi:.6g}</text>',
         f'<text x="{pad - 5}" y="{height - pad}" text-anchor="end" font-size="11">{y_lo:.6g}</text>',
         f'<text x="{pad - 5}" y="{pad}" text-anchor="end" font-size="11">{y_hi:.6g}</text>',
+        f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>',
+        f'<text x="{width - pad + 2}" y="{pad + 10}" font-size="11" fill="{color}">{label}</text>',
+        "</svg>",
     ]
-    for i, (label, xs, ys) in enumerate(series):
-        color = colors[i % len(colors)]
-        ok = np.isfinite(np.asarray(ys, dtype=float))
-        pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(np.asarray(xs)[ok], np.asarray(ys)[ok]))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{width - pad + 2}" y="{pad + 14 * i + 10}" font-size="11" fill="{color}">{label}</text>')
-    parts.append("</svg>")
     Path(path).write_text("\n".join(parts))
 
 
@@ -370,30 +370,22 @@ def cmd_train(cfg: dict, chash: str, out: Path, args) -> int:
 
 
 def cmd_sensitivity(cfg: dict, chash: str, out: Path, args) -> int:
-    dn, handle = _guided_setup(cfg, out)
+    stab = build_stabilizer(json.loads(args.stabilizer), "--stabilizer") if args.stabilizer else None
+    if (args.metric == "stabilized_gradient") != (stab is not None):
+        # a curve named and labelled after a stabilizer must be the stabilized one
+        raise ConfigError("--stabilizer goes with --metric stabilized_gradient and with no other metric")
+    dn, gcfg = _guided_setup(cfg, out)
+    recipe = dataclasses.replace(gcfg, path=args.path, stabilizer=stab or gd.identity())
     _, val_ds = _datasets(cfg, dn.spec)
     n = min(cfg["sensitivity"]["n"], len(val_ds))
-    stab_cfg = build_stabilizer(json.loads(args.stabilizer), "--stabilizer") if args.stabilizer else None
     curve_obj = sens.curve(
-        handle,
-        dn,
-        val_ds.points[:n],
-        val_ds.labels[:n],
-        args.metric,
-        path=args.path,
-        stabilizer=stab_cfg,
-        seed=_seed(cfg, "sensitivity-eps"),
-        jacobian_mode=cfg["guidance"]["jacobian_mode"],
-        objective=cfg["guidance"]["objective"],
+        recipe, dn, val_ds.points[:n], val_ds.labels[:n], args.metric, seed=_seed(cfg, "sensitivity-eps")
     )
-    stab_tag = "_" + _file_tag(stab_cfg) if stab_cfg else ""
+    stab_tag = "_" + _file_tag(stab) if stab else ""
     stem = f"sensitivity_{args.metric}_{args.path}{stab_tag}"
     sens.save_curve_csv(curve_obj, out / f"{stem}.csv", chash)
-    _svg_line_plot(
-        [(f"{args.metric} ({args.path})", curve_obj.t, curve_obj.mean)],
-        f"{args.metric} over t [{chash}]",
-        out / f"{stem}.svg",
-    )
+    label = f"{args.metric} ({args.path})"
+    _svg_line_plot(label, curve_obj.t, curve_obj.mean, f"{args.metric} over t [{chash}]", out / f"{stem}.svg")
     print(f"wrote {out / (stem + '.csv')}")
     if curve_obj.degenerate:
         print("warning: curve is degenerate (all pairs undefined)")
@@ -401,8 +393,7 @@ def cmd_sensitivity(cfg: dict, chash: str, out: Path, args) -> int:
 
 
 def cmd_sample(cfg: dict, chash: str, out: Path, args) -> int:
-    dn, handle = _guided_setup(cfg, out)
-    gcfg = build_guidance_config(cfg, handle)
+    dn, gcfg = _guided_setup(cfg, out)
     batch = gd.sample_batch(dn, dn.schedule, gcfg, cfg["sample"]["n"], _seed(cfg, "sample-chains"))
     header = [f"x{i}" for i in range(dn.dim)] + ["diverged", "seed", "config_hash"]
     rows = (x + [int(div), cfg["seed"], chash] for x, div in zip(batch.samples.tolist(), batch.diverged.tolist()))
@@ -415,7 +406,7 @@ def cmd_sample(cfg: dict, chash: str, out: Path, args) -> int:
         kept,
         dn.spec,
         gcfg.target_class,
-        handle,
+        gcfg.classifier,
         seed=_seed(cfg, "sample-eval"),
         n_diverged=batch.n_diverged,
         config_hash=chash,
@@ -427,8 +418,7 @@ def cmd_sample(cfg: dict, chash: str, out: Path, args) -> int:
 
 
 def cmd_sweep(cfg: dict, chash: str, out: Path, args) -> int:
-    dn, handle = _guided_setup(cfg, out)
-    gcfg = build_guidance_config(cfg, handle)
+    dn, gcfg = _guided_setup(cfg, out)
     rows = mtr.sweep(
         dn,
         dn.schedule,
@@ -448,9 +438,7 @@ def cmd_sweep(cfg: dict, chash: str, out: Path, args) -> int:
         ("cfd", "cfd"),
     ]:
         vals = np.array([getattr(r, field) for _, r in rows])
-        _svg_line_plot(
-            [(field, scales, vals)], f"{field} vs scale [{chash}]", out / f"sweep_{label}_{fname}.svg"
-        )
+        _svg_line_plot(field, scales, vals, f"{field} vs scale [{chash}]", out / f"sweep_{label}_{fname}.svg")
     print(f"wrote {csv_path}")
     if all(r.n_samples == 0 for _, r in rows):
         print("error: every chain diverged at every scale", file=sys.stderr)
@@ -509,8 +497,8 @@ def main(argv=None) -> int:
     p_train.add_argument("--persona", choices=PERSONAS, required=True)
     p_train.set_defaults(run=cmd_train)
     p_sens = sub.add_parser("sensitivity", help="sensitivity curve CSV + SVG")
-    p_sens.add_argument("--metric", choices=["logit", "gradient", "stabilized_gradient"], default="gradient")
-    p_sens.add_argument("--path", choices=["raw", "x0pred"], default="raw")
+    p_sens.add_argument("--metric", choices=sens._METRICS, default="gradient")
+    p_sens.add_argument("--path", choices=gd._PATHS, default="raw")
     p_sens.add_argument("--stabilizer", default=None, help='JSON, e.g. {"kind":"ema","beta":0.99}')
     p_sens.set_defaults(run=cmd_sensitivity)
     sub.add_parser("sample", help="guided sample batch + metrics").set_defaults(run=cmd_sample)

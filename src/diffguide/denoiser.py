@@ -56,8 +56,13 @@ class AnalyticDenoiser:
         t may also be an integer array of s steps: X then stacks s groups of
         rows, step-major (group i is at step t[i]), and the results stack the
         same way. Each step's tables are read once and broadcast over its
-        group, so the stack equals s separate calls bit for bit."""
+        group, so the stack equals s separate calls bit for bit. A 0-d
+        array is one step."""
         self.schedule.check_steps(t)
+        if isinstance(t, np.ndarray) and t.ndim != 1:
+            if t.ndim:
+                raise ValueError(f"step array of shape {t.shape}: expected one step or a 1-D array of steps")
+            t = int(t)  # a 0-d array is one step, as forward_sample reads it
         n_steps = len(t) if isinstance(t, np.ndarray) else 1  # as tb.log_joint tells them apart
         if n_steps == 0 or len(X) % n_steps:
             raise ValueError(f"{len(X)} rows do not split into {n_steps} steps")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classifier as clf
+from . import nn
 from .denoiser import AnalyticDenoiser
 from .rng import substream
 from .schedule import Schedule
@@ -98,6 +99,9 @@ def stabilize(
 # -- guided sampling ---------------------------------------------------------
 
 
+_PATHS = ("raw", "x0pred")
+
+
 @dataclass(frozen=True)
 class GuidanceConfig:
     classifier: clf.ClassifierHandle
@@ -111,12 +115,12 @@ class GuidanceConfig:
     def __post_init__(self):
         if not np.isfinite(self.scale) or self.scale < 0.0:
             raise ValueError("scale must be finite and >= 0")
-        if self.path not in ("raw", "x0pred"):
-            raise ValueError("path must be 'raw' or 'x0pred'")
+        if self.path not in _PATHS:
+            raise ValueError(f"path must be one of {_PATHS}")
         if self.jacobian_mode not in ("full", "stop_gradient"):
             raise ValueError("jacobian_mode must be 'full' or 'stop_gradient'")
-        if self.objective not in ("log_softmax", "logit"):
-            raise ValueError("objective must be 'log_softmax' or 'logit'")
+        if self.objective not in nn._OBJECTIVES:
+            raise ValueError(f"objective must be one of {nn._OBJECTIVES}")
 
     @property
     def needs_jacobian(self) -> bool:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .classifier import ClassifierHandle, predict_logits
+from .classifier import predict_logits
 from .denoiser import AnalyticDenoiser
-from .guidance import GuidanceConfig, StabilizerConfig, guidance_gradient, init_stabilizer_state, stabilize
+from .guidance import GuidanceConfig, guidance_gradient, init_stabilizer_state, stabilize
 from .schedule import forward_sample
 
 _METRICS = ("logit", "gradient", "stabilized_gradient")
@@ -49,31 +49,26 @@ class SensitivityCurve:
 
 
 def curve(
-    h: ClassifierHandle,
+    recipe: GuidanceConfig,
     dn: AnalyticDenoiser,
     points: np.ndarray,
     labels: np.ndarray,
     metric: str,
-    path: str = "raw",
-    stabilizer: StabilizerConfig | None = None,
     seed: int = 0,
-    jacobian_mode: str = "full",
-    objective: str = "log_softmax",
 ) -> SensitivityCurve:
     """Per-step mean/std of a sensitivity metric over a nonempty dataset.
 
-    Every sample gets one shared noise draw for its whole trajectory, and
-    its own label is the target class of its gradients; logits are taken at
-    x_t (raw) or E[x0 | x_t] (x0pred). Undefined (zero-distance) pairs are
-    dropped per step and the remaining count recorded.
+    recipe is the sampler's guidance recipe: its classifier, path, Jacobian
+    mode and objective make every metric, and its stabilizer only
+    stabilized_gradient; its scale is unused. Every sample gets one shared
+    noise draw for its whole trajectory, and its own label replaces
+    recipe.target_class; logits are taken at x_t (raw) or E[x0 | x_t]
+    (x0pred). Undefined (zero-distance) pairs are dropped per step and the
+    remaining count recorded.
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}")
-    if (metric == "stabilized_gradient") != (stabilizer is not None):
-        # a curve labelled with a stabilizer must be the stabilized one
-        raise ValueError("a stabilizer config goes with stabilized_gradient and with no other metric")
-    # the sampler's gradient recipe; each point's label replaces target_class
-    recipe = GuidanceConfig(h, target_class=0, path=path, jacobian_mode=jacobian_mode, objective=objective)
+    h, path, stabilizer = recipe.classifier, recipe.path, recipe.stabilizer
     schedule = dn.schedule
     X0 = np.asarray(points, dtype=np.float64)
     ys = np.asarray(labels, dtype=np.int64)
@@ -117,7 +112,7 @@ def curve(
         stds = np.sqrt((centered**2).sum(axis=1) / counts)
     means[counts == 0] = np.nan
     stds[counts == 0] = np.nan
-    label = "none" if stabilizer is None else stabilizer.label
+    label = stabilizer.label if metric == "stabilized_gradient" else "none"
     return SensitivityCurve(
         metric, path, label, np.arange(2, T + 1), means, stds, counts.astype(np.int64)
     )

@@ -97,10 +97,14 @@ def make_spec(classes: list[tuple[float, list[tuple[float, list, np.ndarray]]]])
             min_var = min(min_var, lam)
             mean.setflags(write=False)
             cov.setflags(write=False)
+            if weight < 0.0:
+                raise ValueError(f"component weight {weight} is negative")
             frozen_comps.append(Component(float(weight), mean, cov))
         wsum = sum(c.weight for c in frozen_comps)
         if not abs(wsum - 1.0) <= _PROB_TOL:  # NaN fails too
             raise ValueError(f"component weights sum to {wsum}, expected 1")
+        if prior < 0.0:
+            raise ValueError(f"class prior {prior} is negative")
         built.append(ClassSpec(float(prior), tuple(frozen_comps)))
     psum = sum(c.prior for c in built)
     if not abs(psum - 1.0) <= _PROB_TOL:
@@ -243,7 +247,8 @@ class ComponentTables:
         vals, vecs = np.linalg.eigh(covs)
         self.cov_eigvals = np.maximum(vals, _EIG_FLOOR)  # (K, d)
         self.cov_eigvecs = vecs  # (K, d, d), columns are eigenvectors
-        self.log_weights = np.log(weights)[:, None]
+        with np.errstate(divide="ignore"):  # a zero prior's components get log weight -inf
+            self.log_weights = np.log(weights)[:, None]
         self.column_means = means.T[:, :, None]  # (d, K, 1)
         self.to_eigen = vecs.transpose(1, 2, 0)[..., None]  # [i, e, k] = V_k[i, e]
         self.from_eigen = vecs.transpose(2, 1, 0)[..., None]  # [e, i, k] = V_k[i, e]
@@ -266,7 +271,7 @@ class ComponentTables:
         For an array of s rows, X (s n, d) is step-major and the results
         are (s, d, K, n) and (s, K, n)."""
         marg = self.marg[row]
-        steps = isinstance(row, np.ndarray)
+        steps = isinstance(row, np.ndarray) and row.ndim > 0  # a 0-d array is one row
         points = X.reshape(len(row), -1, X.shape[1]).swapaxes(-1, -2) if steps else X.T  # (..., d, n)
         diff = points[..., None, :] - self.shifted_means[row]  # (..., d, K, n)
         proj = _contract(self.to_eigen, diff)

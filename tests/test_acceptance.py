@@ -105,12 +105,16 @@ def acc_curves(h_nonrobust, h_robust, h_oracle, denoiser, spec2, schedule400, va
 def sens_curves(h_nonrobust, h_robust, denoiser, val_ds):
     pts, labs = val_ds.points, val_ds.labels
     seed = 777
+
+    def recipe(h, path="raw"):  # a curve takes each point's label as the target class
+        return GuidanceConfig(h, target_class=0, path=path)
+
     return {
-        "sl_nonrobust": curve(h_nonrobust, denoiser, pts, labs, "logit", seed=seed),
-        "sl_robust": curve(h_robust, denoiser, pts, labs, "logit", seed=seed),
-        "sg_nonrobust": curve(h_nonrobust, denoiser, pts, labs, "gradient", seed=seed),
-        "sg_robust": curve(h_robust, denoiser, pts, labs, "gradient", seed=seed),
-        "sg_x0pred": curve(h_nonrobust, denoiser, pts, labs, "gradient", path="x0pred", seed=seed),
+        "sl_nonrobust": curve(recipe(h_nonrobust), denoiser, pts, labs, "logit", seed=seed),
+        "sl_robust": curve(recipe(h_robust), denoiser, pts, labs, "logit", seed=seed),
+        "sg_nonrobust": curve(recipe(h_nonrobust), denoiser, pts, labs, "gradient", seed=seed),
+        "sg_robust": curve(recipe(h_robust), denoiser, pts, labs, "gradient", seed=seed),
+        "sg_x0pred": curve(recipe(h_nonrobust, "x0pred"), denoiser, pts, labs, "gradient", seed=seed),
     }
 
 
@@ -120,10 +124,8 @@ def stab_curves(h_nonrobust, denoiser, val_ds):
     seed = 777
 
     def walk(stab):
-        return curve(
-            h_nonrobust, denoiser, pts, labs, "stabilized_gradient",
-            path="x0pred", stabilizer=stab, seed=seed,
-        )
+        recipe = GuidanceConfig(h_nonrobust, target_class=0, path="x0pred", stabilizer=stab)
+        return curve(recipe, denoiser, pts, labs, "stabilized_gradient", seed=seed)
 
     return {"ema99": walk(ema(0.99)), "ema90": walk(ema(0.9)), "adam": walk(adam())}
 

@@ -25,6 +25,7 @@ from diffguide.cli import (
     validate_config,
 )
 from diffguide.denoiser import AnalyticDenoiser
+from diffguide.guidance import GuidanceConfig
 from diffguide.sensitivity import curve, save_curve_csv
 
 SMALL = {
@@ -171,8 +172,9 @@ def _one_config_error(capsys) -> str:
         lambda doc: {**doc, "weights": doc["weights"][:-1]},
         lambda doc: {**doc, "biases": [b[:-1] for b in doc["biases"]]},
         lambda doc: {**doc, "biases": [[10**400] + b[1:] for b in doc["biases"]]},
+        lambda doc: {**doc, "biases": [["NaN"] + b[1:] for b in doc["biases"]]},
     ],
-    ids=["empty", "unknown-activation", "missing-layer", "short-biases", "integer-beyond-float"],
+    ids=["empty", "unknown-activation", "missing-layer", "short-biases", "integer-beyond-float", "nan-bias"],
 )
 def test_malformed_checkpoint_fails_closed(tmp_path, capsys, small_cfg, edit):
     out = tmp_path / "run"
@@ -398,9 +400,10 @@ def test_sensitivity_uses_the_configured_gradient_recipe(tmp_path, guidance):
     spec = build_spec(cfg)
     _, val_ds = _datasets(cfg, spec)
     n = cfg["sensitivity"]["n"]
+    recipe = GuidanceConfig(bayes_oracle(spec), target_class=0, path="x0pred", **guidance)
     want = curve(
-        bayes_oracle(spec), AnalyticDenoiser(spec, build_schedule(cfg)), val_ds.points[:n], val_ds.labels[:n],
-        "gradient", path="x0pred", seed=_seed(cfg, "sensitivity-eps"), **guidance,
+        recipe, AnalyticDenoiser(spec, build_schedule(cfg)), val_ds.points[:n], val_ds.labels[:n],
+        "gradient", seed=_seed(cfg, "sensitivity-eps"),
     )
     save_curve_csv(want, tmp_path / "want.csv", chash)
     assert got == (tmp_path / "want.csv").read_text()
@@ -441,6 +444,13 @@ def _two_class_mixture(prior0, mean0):
     return {"data": {"classes": [{"prior": p, "components": c} for p, c in zip([prior0, 0.5], comps)]}}
 
 
+def _signed_mixture(priors, weights0):
+    """Two classes with the given priors; class 0's components take weights0."""
+    comps0 = [{"weight": w, "mean": [-1.0, float(i)], "cov": 0.1} for i, w in enumerate(weights0)]
+    comps = [comps0, [{"weight": 1.0, "mean": [1.0, 0.0], "cov": 0.1}]]
+    return {"data": {"classes": [{"prior": p, "components": c} for p, c in zip(priors, comps)]}}
+
+
 @pytest.mark.parametrize(
     "raw, argv",
     [
@@ -460,6 +470,9 @@ def _two_class_mixture(prior0, mean0):
         ({"train": {"lr": float("inf")}}, ["train", "--persona", "non_robust"]),
         ({"train": {"batch_size": 0}}, ["train", "--persona", "non_robust"]),
         ({"train": {"epochs": -1}}, ["train", "--persona", "robust"]),
+        ({"data": {**_two_class_mixture(0.5, [-1.0, 0.0])["data"], "preset": "three_class"}}, ["gen-data"]),
+        ({**_signed_mixture([-0.5, 1.5], [1.0]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
+        ({**_signed_mixture([0.5, 0.5], [1.5, -0.5]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
     ],
     ids=[
         "mixture-without-components",
@@ -478,6 +491,9 @@ def _two_class_mixture(prior0, mean0):
         "infinite-learning-rate",
         "zero-batch-size",
         "negative-epochs",
+        "preset-and-classes",
+        "negative-prior-oracle-sample",
+        "negative-weight-oracle-sample",
     ],
 )
 def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):
@@ -517,6 +533,25 @@ def test_stabilizer_for_an_unstabilized_metric_fails_closed(tmp_path, capsys, me
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+    assert not list(out.glob("sensitivity_*"))
+
+
+@pytest.mark.parametrize(
+    "guidance, metric",
+    [
+        ({}, "stabilized_gradient"),
+        ({"stabilizer": {"kind": "ema", "beta": 1.5}}, "gradient"),
+        ({"scale": -1.0}, "logit"),
+    ],
+    ids=["stabilized-without-stabilizer", "config-ema-beta-above-1", "config-negative-scale"],
+)
+def test_sensitivity_refuses_a_bad_recipe(tmp_path, capsys, guidance, metric):
+    # sensitivity builds the config's whole guidance recipe, as sample and sweep do
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, "guidance": {"classifier": "bayes_oracle", **guidance}}))
+    out = tmp_path / "run"
+    assert _run("--config", str(path), "--out", str(out), "sensitivity", "--metric", metric) == EXIT_CONFIG
+    _one_config_error(capsys)
     assert not list(out.glob("sensitivity_*"))
 
 

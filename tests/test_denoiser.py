@@ -405,6 +405,16 @@ def test_bundle_takes_numpy_integer_steps(denoiser):
     assert np.array_equal(E, denoiser._bundle(X, np.array([200, 7]))[0])
 
 
+def test_bundle_reads_a_0d_step_array_as_one_step(denoiser):
+    # forward_sample and check_steps take a 0-d step array as one step; so does the posterior pass
+    X = np.random.default_rng(36).standard_normal((4, 2))
+    assert denoiser.posterior_mean_x0(X, np.array(200)).tobytes() == denoiser.posterior_mean_x0(X, 200).tobytes()
+    for got, want in zip(denoiser._bundle(X, np.array(200), True), denoiser._bundle(X, 200, True)):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="1-D array"):
+        denoiser._bundle(X, np.array([[200, 7]]))
+
+
 def test_bundle_rejects_rows_that_do_not_split_into_the_steps(denoiser):
     for rows, steps in ((5, [3, 2]), (3, [9, 8, 7, 6]), (4, [])):
         for with_jacobian in (False, True):

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from diffguide.classifier import bayes_oracle, predict_logits
+from diffguide.denoiser import AnalyticDenoiser
+from diffguide.schedule import linear_schedule
 from diffguide.synthdata import (
     _ordered_sum,
     make_spec,
@@ -37,6 +42,19 @@ def test_degenerate_prior_all_one_class():
     )
     ds = sample_dataset(spec, 500, 0)
     assert np.all(ds.labels == 0)
+
+
+def test_zero_prior_spec_builds_denoiser_and_oracle_quietly():
+    # a zero prior's log weight is -inf: taken quietly, and its class never wins
+    spec = make_spec([(1.0, [(1.0, [0.0, 0.0], 0.1)]), (0.0, [(1.0, [5.0, 5.0], 0.1)])])
+    X = np.random.default_rng(2).standard_normal((6, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dn = AnalyticDenoiser(spec, linear_schedule(20, 1e-4, 0.05))
+        mean_x0 = dn.posterior_mean_x0(X, 10)
+        logits = predict_logits(bayes_oracle(spec), X)
+    assert np.all(np.isfinite(mean_x0))
+    assert np.all(np.isfinite(logits[:, 0])) and np.all(logits[:, 1] == -np.inf)
 
 
 def test_same_seed_identical():
