@@ -39,9 +39,9 @@ def _read_only(arrays) -> tuple[np.ndarray, ...]:
 @dataclass(frozen=True)
 class MlpModel:
     """An immutable MLP: init_mlp, train and load_checkpoint return models
-    whose weights and biases are read-only, so the Wᵀ copies cached on first
-    use stay equal to them. Training's working model is views into its
-    changing parameters and never reads weights_t."""
+    whose weights and biases are read-only, so the Wᵀ copies and bias tiles
+    cached on first use stay equal to them. Training's working model is views
+    into its changing parameters and never reads weights_t or bias_blocks."""
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -55,6 +55,12 @@ class MlpModel:
     def weights_t(self) -> tuple[np.ndarray, ...]:
         """A read-only C-contiguous copy of each Wᵀ, for input backprop."""
         return _read_only([np.ascontiguousarray(w.T) for w in self.weights])
+
+    @functools.cached_property
+    def bias_blocks(self) -> tuple[np.ndarray, ...]:
+        """A read-only (_BLOCK, width) tile of each bias, whose add over a
+        stack of blocks is one contiguous pass per block, not one per row."""
+        return _read_only([np.tile(b, (_BLOCK, 1)) for b in self.biases])
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -82,14 +88,15 @@ def init_mlp(layer_sizes: list[int], activation: str = "tanh", seed: int = 0) ->
     return MlpModel(_read_only(weights), _read_only(biases), activation)
 
 
-def _forward_cached(model: MlpModel, X: np.ndarray):
+def _forward_cached(model: MlpModel, X: np.ndarray, biases):
     """Forward pass keeping what backprop reads: each layer's input (acts,
     ending with the logits) and, for softplus only, the hidden
     pre-activations, which its derivative reads. Each product's buffer takes
-    the bias and, for tanh, the activation in place."""
+    the bias (model.biases, or the bias_blocks tiles for stacks of _BLOCK-row
+    blocks) and, for tanh, the activation in place."""
     pre, acts = [], [X]
     last = len(model.weights) - 1
-    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+    for i, (W, b) in enumerate(zip(model.weights, biases)):
         z = np.matmul(acts[-1], W)
         z += b
         if i < last:
@@ -128,7 +135,7 @@ def _block_passes(model: MlpModel, X: np.ndarray):
         raise ValueError(f"input dim {d} != model dim {model.input_dim}")
     blocks = np.concatenate([X, np.zeros((-n % _BLOCK, d))]).reshape(-1, _BLOCK, d)
     for lo in range(0, len(blocks), _CHUNK):
-        yield slice(lo * _BLOCK, (lo + _CHUNK) * _BLOCK), *_forward_cached(model, blocks[lo : lo + _CHUNK])
+        yield slice(lo * _BLOCK, (lo + _CHUNK) * _BLOCK), *_forward_cached(model, blocks[lo : lo + _CHUNK], model.bias_blocks)
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
@@ -140,10 +147,19 @@ def forward(model: MlpModel, x) -> np.ndarray:
     return logits[0] if single else logits[: len(X)]
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Class-major log-probabilities (C, rows) of logits (..., C), max-shifted.
+    The max and the sum run over axis 0, a few passes over whole rows rather
+    than a C-element loop per row, and add the classes in index order."""
+    ls = logits.reshape(-1, logits.shape[-1]).T.copy()
+    ls -= np.maximum.reduce(ls, axis=0)
+    ls -= np.log(np.add.reduce(np.exp(ls), axis=0))
+    return ls
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return _log_softmax(logits).T.reshape(logits.shape)
 
 
 def log_softmax_target(logits, y) -> np.ndarray | float:
@@ -161,21 +177,24 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     the raw class-y logit. y is scalar or per-row for batched x.
 
     Backprop runs over _block_passes' chunks in place: a hidden layer's
-    product buffer takes its bias, its activation, then its derivative.
+    product buffer takes its bias, its activation, then its derivative. The
+    output delta is formed class-major and copied back to rows.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
     X, single = as_batch(x)
     n, d = X.shape
     padded = n + (-n % _BLOCK)
-    onehot = np.zeros((padded, model.n_classes))  # padding rows' gradients are dropped
-    onehot[np.arange(n), np.asarray(y, dtype=np.int64)] = 1.0
+    onehot = np.zeros((model.n_classes, padded))  # class-major; padding rows' gradients are dropped
+    onehot[np.asarray(y, dtype=np.int64), np.arange(n)] = 1.0
     grad = np.empty((padded, d))
     weights_t = model.weights_t
     for rows, pre, acts in _block_passes(model, X):
-        delta = onehot[rows].reshape(acts[-1].shape)
+        delta = onehot[:, rows]
         if objective == "log_softmax":
-            delta = delta - np.exp(log_softmax(acts[-1]))
+            ls = _log_softmax(acts[-1])
+            delta = np.subtract(delta, np.exp(ls, out=ls), out=ls)
+        delta = np.ascontiguousarray(delta.T).reshape(acts[-1].shape)
         for i in range(len(weights_t) - 1, 0, -1):
             delta = np.matmul(delta, weights_t[i])
             delta *= _derivative_in_place(model, pre, acts, i)
@@ -186,18 +205,18 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
 def _parameter_gradients(model: MlpModel, X: np.ndarray, ys: np.ndarray, dWs, dbs) -> float:
     """Mean cross-entropy loss over a batch; its parameter gradients are
     written into dWs and dbs, arrays shaped like the weights and biases."""
-    pre, acts = _forward_cached(model, X)
-    logits = acts[-1]
-    n, D = logits.shape
-    ls = log_softmax(logits)
-    loss = -float(np.mean(ls[np.arange(n), ys]))
-    p = np.exp(ls)
-    delta = p.copy()
-    delta[np.arange(n), ys] -= 1.0
+    pre, acts = _forward_cached(model, X, model.biases)
+    n = len(X)
+    target = (ys, np.arange(n))
+    ls = _log_softmax(acts[-1])
+    loss = -float(np.add.reduce(ls[target]) / n)  # np.mean's sum and divide
+    delta = np.exp(ls, out=ls)
+    delta[target] -= 1.0
     delta /= n
+    delta = np.ascontiguousarray(delta.T)
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=dWs[i])
-        np.sum(delta, axis=0, out=dbs[i])
+        np.add.reduce(delta, axis=0, out=dbs[i])
         if i > 0:
             delta = np.matmul(delta, model.weights[i].T)
             delta *= _derivative_in_place(model, pre, acts, i)

@@ -213,10 +213,8 @@ def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
     (numpy's reductions and einsum may pair or reorder them). The result is
     always a new array."""
     lead = (slice(None),) * (axis % a.ndim)
-    if a.shape[axis] == 1:
-        return a[lead + (0,)].copy()
-    total = a[lead + (0,)] + a[lead + (1,)]
-    for k in range(2, a.shape[axis]):
+    total = a[lead + (0,)].copy()
+    for k in range(1, a.shape[axis]):
         total += a[lead + (k,)]
     return total
 

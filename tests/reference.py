@@ -6,8 +6,9 @@ noise prediction and one-step reverse transition written from the DDPM
 formulas with alpha_bar_t a plain running product over the schedule's
 betas, a chain's noise drawn call by call and a raw-path guided chain run
 a point at a time, single-pair sensitivity ratios, class densities summed component by
-component, the MLP input gradient as a plain forward pass and backprop per
-block with its own log-softmax, and classifier accuracy under forward noise.
+component, the MLP logits and input gradient as a plain forward pass and
+backprop per block with its own log-softmax, a training batch's loss and
+parameter gradients the same way, and classifier accuracy under forward noise.
 `guided_gradient` and `jacobian` are thin conveniences over the pipeline's
 own posterior pass and gradient recipe, for tests that need one point at a
 time.
@@ -242,42 +243,92 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 # -- classifiers and data files ----------------------------------------------------
 
 
+_MLP_BLOCK = 128
+
+
+def _mlp_pass(model: MlpModel, X: np.ndarray) -> tuple[list, list]:
+    """A plain forward pass over the rows of X: every pre-activation z = a @ W
+    + b and every layer's input, ending with the logits."""
+    hidden = len(model.weights) - 1
+    zs, acts = [], [X]
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ W + b
+        zs.append(z)
+        if i < hidden:
+            acts.append(np.tanh(z) if model.activation == "tanh" else np.logaddexp(0.0, z))
+        else:
+            acts.append(z)
+    return zs, acts
+
+
+def _mlp_backprop(model: MlpModel, zs: list, acts: list, delta: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """A plain backprop of the output delta through W.T and the activation's
+    derivative: the input gradient, and each layer's acts.T @ delta and
+    column sum, first layer first."""
+    dWs, dbs = [], []
+    for i in range(len(model.weights) - 1, -1, -1):
+        dWs.insert(0, acts[i].T @ delta)
+        dbs.insert(0, np.sum(delta, axis=0))
+        dx = delta @ model.weights[i].T
+        if i > 0:
+            if model.activation == "tanh":
+                deriv = 1.0 - acts[i] * acts[i]
+            else:
+                deriv = 1.0 / (1.0 + np.exp(-zs[i - 1]))
+            delta = dx * deriv
+    return dx, dWs, dbs
+
+
+def _mlp_blocks(X: np.ndarray):
+    """(lo, m, block) per zero-padded 128-row block of X's rows."""
+    n, d = X.shape
+    for lo in range(0, n, _MLP_BLOCK):
+        m = min(_MLP_BLOCK, n - lo)
+        xb = np.zeros((_MLP_BLOCK, d))
+        xb[:m] = X[lo : lo + m]
+        yield lo, m, xb
+
+
+def mlp_forward(model: MlpModel, x) -> np.ndarray:
+    """Logits (n, C) of a batch, one zero-padded 128-row block at a time
+    through a plain forward pass, each product on exactly 128 rows."""
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    out = np.empty((len(X), model.n_classes))
+    for lo, m, xb in _mlp_blocks(X):
+        out[lo : lo + m] = _mlp_pass(model, xb)[1][-1][:m]
+    return out
+
+
 def mlp_input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.ndarray:
     """Input gradient of the class-y objective, one zero-padded 128-row block
     at a time: a plain forward pass keeping every pre-activation and
     activation, then a plain backprop, each product on exactly 128 rows."""
-    block = 128
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, d = X.shape
     ys = np.broadcast_to(np.asarray(y, dtype=np.int64), (n,))
     out = np.empty((n, d))
-    hidden = len(model.weights) - 1
-    for lo in range(0, n, block):
-        m = min(block, n - lo)
-        xb = np.zeros((block, d))
-        xb[:m] = X[lo : lo + m]
-        zs, acts = [], [xb]
-        for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-            z = acts[-1] @ W + b
-            zs.append(z)
-            if i < hidden:
-                acts.append(np.tanh(z) if model.activation == "tanh" else np.logaddexp(0.0, z))
-            else:
-                acts.append(z)
-        delta = np.zeros((block, model.n_classes))
+    for lo, m, xb in _mlp_blocks(X):
+        zs, acts = _mlp_pass(model, xb)
+        delta = np.zeros((_MLP_BLOCK, model.n_classes))
         delta[np.arange(m), ys[lo : lo + m]] = 1.0
         if objective == "log_softmax":
             delta = delta - np.exp(log_softmax(acts[-1]))
-        for i in range(hidden, -1, -1):
-            dx = delta @ model.weights[i].T
-            if i > 0:
-                if model.activation == "tanh":
-                    deriv = 1.0 - acts[i] * acts[i]
-                else:
-                    deriv = 1.0 / (1.0 + np.exp(-zs[i - 1]))
-                delta = dx * deriv
-        out[lo : lo + m] = dx[:m]
+        out[lo : lo + m] = _mlp_backprop(model, zs, acts, delta)[0][:m]
     return out
+
+
+def mlp_parameter_gradients(model: MlpModel, X: np.ndarray, ys: np.ndarray) -> tuple[float, list, list]:
+    """Mean cross-entropy of a training batch as it is (no padding) and its
+    weight and bias gradients, first layer first: a plain forward pass, this
+    module's log_softmax, np.mean, then backprop through W.T and np.sum."""
+    n = len(X)
+    zs, acts = _mlp_pass(model, np.asarray(X, dtype=np.float64))
+    ls = log_softmax(acts[-1])
+    loss = -float(np.mean(ls[np.arange(n), ys]))
+    delta = np.exp(ls)
+    delta[np.arange(n), ys] -= 1.0
+    _, dWs, dbs = _mlp_backprop(model, zs, acts, delta / n)
+    return loss, dWs, dbs
 
 
 def accuracy(

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from diffguide.nn import (
+    _BLOCK,
     MlpModel,
     TrainingDiverged,
+    _parameter_gradients,
     forward,
     init_mlp,
     input_gradient,
@@ -15,7 +17,7 @@ from diffguide.nn import (
 )
 from diffguide.schedule import schedule_from_betas
 
-from reference import accuracy, mlp_input_gradient
+from reference import accuracy, mlp_forward, mlp_input_gradient, mlp_parameter_gradients
 
 
 def _zero_model(sizes):
@@ -179,16 +181,58 @@ def test_input_gradient_rows_are_subset_invariant(objective, activation):
     assert np.array_equal(rows(17), whole[17])
 
 
-@pytest.mark.parametrize("activation", ["tanh", "softplus"])
-@pytest.mark.parametrize("objective", ["log_softmax", "logit"])
-def test_input_gradient_equals_per_block_reference(activation, objective):
+# the class-major log-softmax sums fewer than 8 classes in the same order as
+# a plain last-axis sum, so these shapes keep every bit; a case's id is its
+# arguments, plus the input and class counts for the 3-class shapes
+_REFERENCE_SIZES = {"": [2, 64, 64, 2], "-2-3": [2, 64, 64, 3], "-3-3": [3, 64, 64, 3]}
+
+
+def _on_reference_sizes(cases):
+    return [pytest.param(*case, sizes, id="-".join(case) + tag) for case in cases for tag, sizes in _REFERENCE_SIZES.items()]
+
+
+@pytest.mark.parametrize(
+    "objective, activation, sizes",
+    _on_reference_sizes([(o, a) for o in ("log_softmax", "logit") for a in ("tanh", "softplus")]),
+)
+def test_input_gradient_equals_per_block_reference(objective, activation, sizes):
     # the in-place stacked pass keeps every bit of a plain per-block pass
     rng = np.random.default_rng(31)
-    m = init_mlp([2, 64, 64, 2], activation, seed=32)
+    m = init_mlp(sizes, activation, seed=32)
     for n in (1, 128, 250, 1000, 16000):
-        X = rng.standard_normal((n, 2)) * 2.0
-        ys = rng.integers(0, 2, n)
+        X = rng.standard_normal((n, sizes[0])) * 2.0
+        ys = rng.integers(0, sizes[-1], n)
         assert np.array_equal(input_gradient(m, X, ys, objective), mlp_input_gradient(m, X, ys, objective)), n
+
+
+@pytest.mark.parametrize("activation, sizes", _on_reference_sizes([("tanh",), ("softplus",)]))
+def test_forward_equals_per_block_reference(activation, sizes):
+    # the stacked pass with cached bias tiles keeps every bit of a plain
+    # per-block pass that adds the 1-D bias
+    rng = np.random.default_rng(33)
+    m = init_mlp(sizes, activation, seed=34)
+    for n in (1, 128, 250, 1000):
+        X = rng.standard_normal((n, sizes[0])) * 2.0
+        assert np.array_equal(forward(m, X), mlp_forward(m, X)), n
+
+
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("batch", [128, 32], ids=["full-batch", "last-batch-of-4000"])
+def test_parameter_gradients_equal_plain_reference(batch, n_classes, activation):
+    # training's step keeps every bit of a plain pass with np.mean, W.T and
+    # np.sum, so checkpoints do not move
+    rng = np.random.default_rng(35)
+    m = init_mlp([2, 64, 64, n_classes], activation, seed=36)
+    X = rng.standard_normal((batch, 2)) * 2.0
+    ys = rng.integers(0, n_classes, batch)
+    dWs = tuple(np.full_like(w, np.nan) for w in m.weights)
+    dbs = tuple(np.full_like(b, np.nan) for b in m.biases)
+    loss = _parameter_gradients(m, X, ys, dWs, dbs)
+    want_loss, want_dWs, want_dbs = mlp_parameter_gradients(m, X, ys)
+    assert loss == want_loss
+    for got, want in zip(dWs + dbs, want_dWs + want_dbs, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_train_reaches_high_accuracy(model_nonrobust, train_ds, h_nonrobust):
@@ -270,6 +314,22 @@ def test_weights_t_are_read_only_contiguous_transposes(tmp_path, model_nonrobust
     path = tmp_path / "model.json"
     save_checkpoint(model_nonrobust, path)
     _assert_read_only_transposes(load_checkpoint(path))
+
+
+def _assert_read_only_bias_blocks(model):
+    assert len(model.bias_blocks) == len(model.biases)
+    for b, tile in zip(model.biases, model.bias_blocks):
+        assert tile.shape == (_BLOCK, len(b))
+        assert np.array_equal(tile, np.broadcast_to(b, tile.shape))
+        assert tile.flags.c_contiguous and not tile.flags.writeable
+
+
+def test_bias_blocks_are_read_only_contiguous_tiles(tmp_path, model_nonrobust):
+    _assert_read_only_bias_blocks(init_mlp([2, 8, 3], seed=4))
+    _assert_read_only_bias_blocks(model_nonrobust)
+    path = tmp_path / "model.json"
+    save_checkpoint(model_nonrobust, path)
+    _assert_read_only_bias_blocks(load_checkpoint(path))
 
 
 def test_unknown_activation_is_refused_when_a_model_is_built():
