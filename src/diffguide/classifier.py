@@ -31,6 +31,10 @@ class ClassifierHandle:
         if self.kind != "bayes_oracle" and self.model is None:
             raise ValueError(f"a {self.kind} handle needs a model")
 
+    @property
+    def n_classes(self) -> int:
+        return self.spec.n_classes if self.kind == "bayes_oracle" else self.model.n_classes
+
 
 def non_robust(model: nn.MlpModel) -> ClassifierHandle:
     return ClassifierHandle("non_robust", model=model)

@@ -121,6 +121,10 @@ class GuidanceConfig:
             raise ValueError("jacobian_mode must be 'full' or 'stop_gradient'")
         if self.objective not in nn._OBJECTIVES:
             raise ValueError(f"objective must be one of {nn._OBJECTIVES}")
+        # checked once here: a negative class would wrap round to the last one at every step
+        y, C = self.target_class, self.classifier.n_classes
+        if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < C:
+            raise ValueError(f"target_class must be an integer class in [0, {C}), got {y!r}")
 
     @property
     def needs_jacobian(self) -> bool:

@@ -329,11 +329,12 @@ def save_checkpoint(model: MlpModel, path) -> None:
     doc = {
         "layer_sizes": model.layer_sizes,
         "activation": model.activation,
-        "weights": [[format(v, ".17g") for v in w.ravel()] for w in model.weights],
-        "biases": [[format(v, ".17g") for v in b] for b in model.biases],
+        "weights": [[format(v, ".17g") for v in w.ravel().tolist()] for w in model.weights],
+        "biases": [[format(v, ".17g") for v in b.tolist()] for b in model.biases],
     }
+    text = json.dumps(doc)  # one call to the C encoder; json.dump writes chunk by chunk
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(text)
 
 
 def load_checkpoint(path) -> MlpModel:

@@ -13,9 +13,12 @@ aggregation.
 
 The walk runs in blocks of steps: every x_t is known before it starts, so
 each block stacks its steps' points and makes one posterior pass and one
-logit or gradient call over all of them. Only the stabilizer update and the
-ratio run step by step. Every part of a pass is row-invariant, so a curve
-does not depend on the block size.
+logit or gradient call over all of them. Its values and points are stacked
+behind the previous block's last step, which is carried over, so one
+subtraction and one norm each give every pair's change and distance, and
+one assignment files the block's ratios; only the stabilizer update runs
+step by step. Every part of a pass is row-invariant, and a norm over the
+last axis is taken per row, so a curve does not depend on the block size.
 """
 
 from dataclasses import dataclass
@@ -64,44 +67,60 @@ def curve(
     noise draw for its whole trajectory, and its own label replaces
     recipe.target_class; logits are taken at x_t (raw) or E[x0 | x_t]
     (x0pred). Undefined (zero-distance) pairs are dropped per step and the
-    remaining count recorded.
+    remaining count recorded. points must be (n, dn.dim) and labels n
+    integer classes of the classifier, or ValueError is raised.
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}")
     h, path, stabilizer = recipe.classifier, recipe.path, recipe.stabilizer
     schedule = dn.schedule
     X0 = np.asarray(points, dtype=np.float64)
-    ys = np.asarray(labels, dtype=np.int64)
+    if X0.ndim != 2 or X0.shape[1] != dn.dim:
+        raise ValueError(f"points of shape {X0.shape}: expected (n, {dn.dim})")
     n, d = X0.shape
     if n < 1:
         raise ValueError("a sensitivity curve needs at least one point")
+    ys, C = np.asarray(labels), h.n_classes
+    if ys.shape != (n,) or ys.dtype.kind not in "iu":
+        raise ValueError(f"labels must be {n} integers, one per point; got {ys.dtype} of shape {ys.shape}")
+    if ys.min() < 0 or ys.max() >= C:
+        raise ValueError(f"label {ys[(ys < 0) | (ys >= C)][0]} outside [0, {C})")
     T = schedule.T
     eps = np.random.default_rng(seed).standard_normal((n, d))
+    # every block's points, noise and labels, step-major: rows i*n..(i+1)*n
+    # are the block's i-th step, and a short last block reads a prefix
+    per_block = max(1, _BLOCK_ROWS // n)
+    X0s, eps_s, ys_s = np.tile(X0, (per_block, 1)), np.tile(eps, (per_block, 1)), np.tile(ys, per_block)
+    # the raw path reads no posterior pass, and only a gradient its Jacobian
+    with_jacobian = metric != "logit" and recipe.needs_jacobian
 
     # walk t = T..1, the sampling direction the stabilizer state needs
     ratios = np.full((T - 1, n), np.nan)  # row i = step t = i + 2
     state = init_stabilizer_state((n, d))
-    prev_f = prev_x = None
-    per_block = max(1, _BLOCK_ROWS // n)
+    last = None  # the previous block's last step (f, x), the first pair's upper end
     for top in range(T, 0, -per_block):
         ts = np.arange(top, max(top - per_block, 0), -1)
-        # the block's points, step-major: rows i*n..(i+1)*n are step ts[i]
-        X = forward_sample(schedule, np.tile(X0, (len(ts), 1)), np.repeat(ts, n), np.tile(eps, (len(ts), 1)))
-        # the raw path reads no posterior pass, and only a gradient its Jacobian
-        with_jacobian = metric != "logit" and recipe.needs_jacobian
+        rows = len(ts) * n
+        X = forward_sample(schedule, X0s[:rows], np.repeat(ts, n), eps_s[:rows])
         mean_x0, jac = dn._bundle(X, ts, with_jacobian) if path == "x0pred" else (None, None)
         if metric == "logit":
             F = predict_logits(h, X if path == "raw" else mean_x0)
         else:
-            F = guidance_gradient(recipe, dn, X, ts, np.tile(ys, len(ts)), mean_x0, jac)
-        for i, t in enumerate(ts):
-            rows = slice(i * n, (i + 1) * n)
-            X_t, f = X[rows], F[rows]
-            if metric == "stabilized_gradient":
-                state, f = stabilize(state, stabilizer, f)
-            if prev_f is not None:
-                _ratio_into(ratios[t - 1], prev_f - f, prev_x - X_t)
-            prev_f, prev_x = f, X_t
+            F = guidance_gradient(recipe, dn, X, ts, ys_s[:rows], mean_x0, jac)
+        F, X = F.reshape(len(ts), n, -1), X.reshape(len(ts), n, d)
+        if metric == "stabilized_gradient":
+            for i in range(len(ts)):
+                state, F[i] = stabilize(state, stabilizer, F[i])
+        # the pair (x_{t+1}, x_t) is step t + 1's, in row t - 1
+        if last is None:
+            pairs = ts[1:]
+        else:
+            pairs = ts
+            F, X = np.concatenate((last[0][None], F)), np.concatenate((last[1][None], X))
+        num = np.linalg.norm(F[:-1] - F[1:], axis=-1)
+        den = np.linalg.norm(X[:-1] - X[1:], axis=-1)
+        ratios[pairs - 1] = np.divide(num, den, out=np.full_like(num, np.nan), where=den > 0.0)
+        last = F[-1], X[-1]
 
     defined = ~np.isnan(ratios)
     counts = defined.sum(axis=1)
@@ -116,12 +135,6 @@ def curve(
     return SensitivityCurve(
         metric, path, label, np.arange(2, T + 1), means, stds, counts.astype(np.int64)
     )
-
-
-def _ratio_into(out: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
-    d = np.linalg.norm(den, axis=1)
-    ok = d > 0.0
-    out[ok] = np.linalg.norm(num, axis=1)[ok] / d[ok]
 
 
 def save_curve_csv(curve_obj: SensitivityCurve, path, config_hash: str = "") -> None:

@@ -5,8 +5,9 @@ implementation of a quantity the package computes another way: the implied
 noise prediction and one-step reverse transition written from the DDPM
 formulas with alpha_bar_t a plain running product over the schedule's
 betas, a chain's noise drawn call by call and a raw-path guided chain run
-a point at a time, single-pair sensitivity ratios, class densities summed component by
-component, the MLP logits and input gradient as a plain forward pass and
+a point at a time, single-pair sensitivity ratios and a sensitivity curve
+walked one step at a time, class densities summed component by component,
+the MLP logits and input gradient as a plain forward pass and
 backprop per block with its own log-softmax, a training batch's loss and
 parameter gradients the same way, and classifier accuracy under forward noise.
 `guided_gradient` and `jacobian` are thin conveniences over the pipeline's
@@ -20,7 +21,7 @@ import numpy as np
 
 from diffguide.classifier import ClassifierHandle, predict_logits
 from diffguide.denoiser import AnalyticDenoiser
-from diffguide.guidance import GuidanceConfig, guidance_gradient
+from diffguide.guidance import GuidanceConfig, guidance_gradient, init_stabilizer_state, stabilize
 from diffguide.nn import MlpModel
 from diffguide.rng import substream
 from diffguide.schedule import Schedule, forward_sample
@@ -196,6 +197,47 @@ def gradient_sensitivity(
     g_t = guided_gradient(dn, h, x_t, t, y, path, jacobian_mode, objective)
     g_tm1 = guided_gradient(dn, h, x_tm1, t - 1, y, path, jacobian_mode, objective)
     return float(np.linalg.norm(g_t - g_tm1)) / den
+
+
+def sensitivity_walk(
+    recipe: GuidanceConfig, dn: AnalyticDenoiser, points, labels, metric: str, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sensitivity curve's per-step mean, std and defined-pair count,
+    t = 2..T, from a walk t = T..1 one step at a time: each step noises the
+    points with the curve's one shared draw, makes its own posterior pass and
+    logit or gradient call, updates the stabilizer, and files the ratios of
+    its pair with the step before from two norms over that step's rows.
+    Zero-distance pairs are NaN, and NaN ratios are left out of a step's
+    mean and std."""
+    schedule, T = dn.schedule, dn.schedule.T
+    X0 = np.asarray(points, dtype=np.float64)
+    ys = np.asarray(labels, dtype=np.int64)
+    n, d = X0.shape
+    eps = np.random.default_rng(seed).standard_normal((n, d))
+    ratios = np.full((T - 1, n), np.nan)  # row i: the pair (x_{i+2}, x_{i+1})
+    state = init_stabilizer_state((n, d))
+    prev_f = prev_x = None
+    for t in range(T, 0, -1):
+        x = forward_sample(schedule, X0, t, eps)
+        with_jacobian = metric != "logit" and recipe.needs_jacobian
+        mean_x0, jac = dn._bundle(x, t, with_jacobian) if recipe.path == "x0pred" else (None, None)
+        if metric == "logit":
+            f = predict_logits(recipe.classifier, x if recipe.path == "raw" else mean_x0)
+        else:
+            f = guidance_gradient(recipe, dn, x, t, ys, mean_x0, jac)
+        if metric == "stabilized_gradient":
+            state, f = stabilize(state, recipe.stabilizer, f)
+        if prev_f is not None:
+            den = np.linalg.norm(prev_x - x, axis=1)
+            ok = den > 0.0
+            ratios[t - 1, ok] = np.linalg.norm(prev_f - f, axis=1)[ok] / den[ok]
+        prev_f, prev_x = f, x
+    count = np.sum(~np.isnan(ratios), axis=1)
+    mean, std = np.full(T - 1, np.nan), np.full(T - 1, np.nan)
+    some = count > 0
+    mean[some] = np.nanmean(ratios[some], axis=1)
+    std[some] = np.nanstd(ratios[some], axis=1)
+    return mean, std, count
 
 
 # -- mixture densities -------------------------------------------------------------

@@ -150,6 +150,17 @@ def test_guidance_config_validation(h_oracle):
         GuidanceConfig(classifier=h_oracle, target_class=0, objective="bogus")
 
 
+@pytest.mark.parametrize("target", [-1, 2, 0.5, 1.0, True], ids=["negative", "too-large", "fraction", "float", "bool"])
+@pytest.mark.parametrize("persona", ["h_nonrobust", "h_oracle"])
+def test_guidance_config_refuses_a_target_outside_the_classes(request, persona, target):
+    # both personas have 2 classes; -1 would wrap round to class 1 in the one-hot and the oracle's rows
+    h = request.getfixturevalue(persona)
+    assert h.n_classes == 2
+    with pytest.raises(ValueError, match=r"target_class must be an integer class in \[0, 2\)"):
+        GuidanceConfig(classifier=h, target_class=target)
+    assert GuidanceConfig(classifier=h, target_class=np.int64(1)).target_class == 1
+
+
 # -- reverse sampling ----------------------------------------------------------
 
 

@@ -290,6 +290,24 @@ def test_finite_parameters_after_training(model_nonrobust, model_robust):
         assert all(np.all(np.isfinite(b)) for b in m.biases)
 
 
+def test_checkpoint_bytes_equal_a_json_dump_of_numpy_formatted_floats(tmp_path, model_nonrobust):
+    # the writer formats Python floats and encodes the document in one string;
+    # the file is the one json.dump wrote from NumPy scalars
+    import json
+
+    path = tmp_path / "model.json"
+    save_checkpoint(model_nonrobust, path)
+    doc = {
+        "layer_sizes": model_nonrobust.layer_sizes,
+        "activation": model_nonrobust.activation,
+        "weights": [[format(v, ".17g") for v in w.ravel()] for w in model_nonrobust.weights],
+        "biases": [[format(v, ".17g") for v in b] for b in model_nonrobust.biases],
+    }
+    with open(tmp_path / "dumped.json", "w") as f:
+        json.dump(doc, f)
+    assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+
 def test_checkpoint_round_trip_exact(tmp_path, model_nonrobust):
     path = tmp_path / "model.json"
     save_checkpoint(model_nonrobust, path)

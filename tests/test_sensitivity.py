@@ -12,7 +12,7 @@ from diffguide.schedule import schedule_from_betas
 from diffguide.sensitivity import curve, save_curve_csv
 from diffguide.synthdata import make_spec
 
-from reference import coupled_pair, gradient_sensitivity, guided_gradient, logit_sensitivity
+from reference import coupled_pair, gradient_sensitivity, guided_gradient, logit_sensitivity, sensitivity_walk
 
 
 def _recipe(h, **kw):
@@ -223,6 +223,36 @@ def test_curve_validates_metric(h_nonrobust, small_denoiser, val_ds):
         curve(_recipe(h_nonrobust), small_denoiser, val_ds.points[:0], val_ds.labels[:0], "logit")
 
 
+@pytest.mark.parametrize("shape", [(2,), (5, 3), (1, 5, 2)], ids=["one-point", "three-coordinates", "three-axes"])
+def test_curve_refuses_points_that_are_not_n_by_dim(h_nonrobust, small_denoiser, shape):
+    pts = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"points of shape .*: expected \(n, 2\)"):
+        curve(_recipe(h_nonrobust), small_denoiser, pts, [0] * len(pts), "logit")
+
+
+def test_curve_refuses_a_label_outside_the_classes(h_nonrobust, small_denoiser, val_ds):
+    # -1 would pick the last class's row of the one-hot
+    labs = val_ds.labels[:5].copy()
+    labs[2] = -1
+    with pytest.raises(ValueError, match=r"label -1 outside \[0, 2\)"):
+        curve(_recipe(h_nonrobust), small_denoiser, val_ds.points[:5], labs, "gradient")
+    labs[2] = 2
+    with pytest.raises(ValueError, match=r"label 2 outside \[0, 2\)"):
+        curve(_recipe(h_nonrobust), small_denoiser, val_ds.points[:5], labs, "gradient")
+
+
+def test_curve_refuses_a_fractional_label(h_nonrobust, small_denoiser, val_ds):
+    # 0.5 would truncate to class 0
+    labs = [0.5, 1, 0, 1, 0]
+    with pytest.raises(ValueError, match="labels must be 5 integers"):
+        curve(_recipe(h_nonrobust), small_denoiser, val_ds.points[:5], labs, "gradient")
+
+
+def test_curve_refuses_fewer_labels_than_points(h_nonrobust, small_denoiser, val_ds):
+    with pytest.raises(ValueError, match=r"labels must be 80 integers.* shape \(60,\)"):
+        curve(_recipe(h_nonrobust), small_denoiser, val_ds.points[:80], val_ds.labels[:60], "gradient")
+
+
 def test_curve_csv_round_trip(tmp_path, h_nonrobust, small_denoiser, val_ds):
     c = curve(_recipe(h_nonrobust), small_denoiser, val_ds.points[:10], val_ds.labels[:10], "logit", seed=3)
     path = tmp_path / "curve.csv"
@@ -251,9 +281,9 @@ def test_x0pred_gradient_curve_runs_one_posterior_pass_per_gradient(
 ):
     from diffguide import classifier
 
-    calls = {"posterior": 0, "gradient": 0}
+    calls = {"posterior": 0, "gradient": 0, "norm": 0}
     rows = {"posterior": 0, "gradient": 0}
-    bundle, input_gradient = AnalyticDenoiser._bundle, classifier.input_gradient
+    bundle, input_gradient, norm = AnalyticDenoiser._bundle, classifier.input_gradient, np.linalg.norm
 
     def counted_bundle(self, X, t, with_jacobian=False):
         calls["posterior"] += 1
@@ -265,16 +295,23 @@ def test_x0pred_gradient_curve_runs_one_posterior_pass_per_gradient(
         rows["gradient"] += len(x)
         return input_gradient(h, x, *args, **kwargs)
 
+    def counted_norm(*args, **kwargs):
+        calls["norm"] += 1
+        return norm(*args, **kwargs)
+
     monkeypatch.setattr(AnalyticDenoiser, "_bundle", counted_bundle)
     monkeypatch.setattr(classifier, "input_gradient", counted_gradient)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
     n, T = 20, small_denoiser.schedule.T
     monkeypatch.setattr(dg.sensitivity, "_BLOCK_ROWS", 7 * n)  # blocks of 7 steps
     dg.sensitivity.curve(
         _recipe(h_nonrobust, path="x0pred"), small_denoiser, val_ds.points[:n], val_ds.labels[:n], "gradient"
     )
     # the walk runs in blocks of steps: one pass feeds each gradient call,
-    # and together they see every step's rows once
+    # and together they see every step's rows once; each block's ratios
+    # take one norm of its gradient differences and one of its distances
     assert calls["posterior"] == calls["gradient"] == -(-T // 7)
+    assert calls["norm"] == 2 * calls["gradient"]
     assert rows["posterior"] == rows["gradient"] == T * n
 
 
@@ -309,3 +346,27 @@ def test_curve_does_not_depend_on_the_block_size(
     for field in ("t", "mean", "std", "count"):
         a, b = getattr(one_step, field), getattr(blocked, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("zero_beta", [False, True], ids=["T400", "zero-beta-across-blocks"])
+@pytest.mark.parametrize("metric", ["logit", "gradient", "stabilized_gradient"])
+def test_curve_equals_the_per_step_walk(h_nonrobust, denoiser, spec2, val_ds, metric, zero_beta):
+    # 300 points: 4096 // 300 = 13 steps per block, so T = 400 and T = 40
+    # both end in a short block
+    pts, labs = val_ds.points[:300], val_ds.labels[:300]
+    assert dg.sensitivity._BLOCK_ROWS // 300 == 13
+    dn = denoiser
+    if zero_beta:
+        # beta_28 = 0 puts x_28 on x_27: step 28 ends the first block (40..28),
+        # so the undefined pair spans the step carried into the next block
+        betas = np.linspace(1e-3, 0.05, 40)
+        betas[28 - 1] = 0.0
+        dn = AnalyticDenoiser(spec2, schedule_from_betas(betas, allow_degenerate=True))
+    recipe = _recipe(h_nonrobust, path="x0pred", stabilizer=adam())
+    c = curve(recipe, dn, pts, labs, metric, seed=21)
+    mean, std, count = sensitivity_walk(recipe, dn, pts, labs, metric, seed=21)
+    assert c.mean.tobytes() == mean.tobytes()
+    assert c.std.tobytes() == std.tobytes()
+    assert c.count.dtype == count.dtype and c.count.tobytes() == count.tobytes()
+    if zero_beta:
+        assert count[28 - 2] == 0 and np.all(np.delete(count, 28 - 2) == 300)
