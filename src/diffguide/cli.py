@@ -220,9 +220,15 @@ def build_schedule(cfg: dict):
 
 
 def build_stabilizer(node, where: str) -> gd.StabilizerConfig:
-    """The stabilizer a config node names; StabilizerConfig checks kind and betas."""
+    """The stabilizer a config node names; StabilizerConfig checks kind and
+    betas. A field its kind does not read is refused: it would be hashed
+    into the run and then ignored."""
     _check_keys(node, _CONFIG["guidance"]["stabilizer"], where)
-    return gd.StabilizerConfig(**node)
+    stab = gd.StabilizerConfig(**node)
+    unread = [key for key in node if key not in ("kind", *gd._STABILIZER_FIELDS[stab.kind])]
+    if unread:
+        raise ConfigError(f"{where}: field {unread[0]!r} is not read by the {stab.kind} stabilizer")
+    return stab
 
 
 def _file_tag(stab: gd.StabilizerConfig) -> str:

@@ -22,6 +22,10 @@ from .schedule import Schedule
 # -- stabilizers -------------------------------------------------------------
 
 
+# the fields each stabilizer kind reads besides its kind; it ignores the others
+_STABILIZER_FIELDS = {"identity": (), "ema": ("beta",), "adam": ("beta1", "beta2", "eps")}
+
+
 @dataclass(frozen=True)
 class StabilizerConfig:
     kind: str = "identity"  # identity | ema | adam
@@ -31,7 +35,7 @@ class StabilizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("identity", "ema", "adam"):
+        if self.kind not in _STABILIZER_FIELDS:
             raise ValueError(f"unknown stabilizer kind {self.kind!r}")
         if self.kind == "ema" and not 0.0 <= self.beta < 1.0:
             raise ValueError("ema beta must lie in [0, 1)")
@@ -121,10 +125,7 @@ class GuidanceConfig:
             raise ValueError("jacobian_mode must be 'full' or 'stop_gradient'")
         if self.objective not in nn._OBJECTIVES:
             raise ValueError(f"objective must be one of {nn._OBJECTIVES}")
-        # checked once here: a negative class would wrap round to the last one at every step
-        y, C = self.target_class, self.classifier.n_classes
-        if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < C:
-            raise ValueError(f"target_class must be an integer class in [0, {C}), got {y!r}")
+        nn.check_class(self.target_class, self.classifier.n_classes, "target_class")
 
     @property
     def needs_jacobian(self) -> bool:
@@ -176,7 +177,7 @@ def _pregenerate_noise(chain_indices, T: int, d: int, seed: int):
     one buffer."""
     draws = np.empty((len(chain_indices), T, d))
     for row, i in enumerate(chain_indices):
-        substream(seed, _CHAIN_LABEL, int(i)).standard_normal(out=draws[row])
+        substream(seed, _CHAIN_LABEL, i).standard_normal(out=draws[row])
     return draws[:, 0], draws[:, 1:]
 
 
@@ -199,8 +200,8 @@ def _run_chains(
     take the shift. A scale-0 row is the unguided chain by construction,
     whatever the classifier returns. The posterior pass runs once per step
     on every row."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not np.array_equal(schedule.betas, dn.schedule.betas):
         raise ValueError("the schedule's betas differ from the denoiser's")
     T, d = schedule.T, dn.dim
@@ -208,6 +209,8 @@ def _run_chains(
         chain_indices = range(n)
     if len(chain_indices) != n:
         raise ValueError(f"{len(chain_indices)} chain indices for n = {n} chains")
+    if len(set(chain_indices)) != n:
+        raise ValueError("chain indices repeat a chain: each must name its own substream")
     starts, zs = _pregenerate_noise(chain_indices, T, d, seed)
     n, S = len(starts), len(scales)
     x = np.tile(starts, (S, 1))

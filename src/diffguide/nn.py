@@ -75,6 +75,23 @@ class MlpModel:
         return self.weights[-1].shape[1]
 
 
+def check_class(y, n_classes: int, name: str = "y") -> None:
+    """Raise ValueError unless y is an integer class in [0, n_classes) or an
+    integer array of such classes. A negative class would otherwise wrap
+    round to the last one, a float would truncate and a bool would index as
+    a mask. One class, the sampler's case, costs a comparison and no array."""
+    if type(y) is int or isinstance(y, np.integer):
+        if not 0 <= y < n_classes:
+            raise ValueError(f"{name} must be an integer class in [0, {n_classes}), got {y!r}")
+        return
+    ys = np.asarray(y)
+    if ys.dtype.kind not in "iu":
+        got = repr(y) if ys.ndim == 0 else f"{ys.dtype} of shape {ys.shape}"
+        raise ValueError(f"{name} must be an integer class in [0, {n_classes}), got {got}")
+    if ys.size and (ys.min() < 0 or ys.max() >= n_classes):
+        raise ValueError(f"{name} {ys[(ys < 0) | (ys >= n_classes)].flat[0]} outside [0, {n_classes})")
+
+
 def init_mlp(layer_sizes: list[int], activation: str = "tanh", seed: int = 0) -> MlpModel:
     """Symmetric uniform init scaled by 1/sqrt(fan_in); deterministic in seed."""
     if len(layer_sizes) < 2:
@@ -182,6 +199,7 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
+    check_class(y, model.n_classes)
     X, single = as_batch(x)
     n, d = X.shape
     padded = n + (-n % _BLOCK)
@@ -260,11 +278,15 @@ def train(
     shuffling sequence.
     """
     X = np.asarray(points, dtype=np.float64)
+    check_class(labels, model.n_classes, "label")
     ys = np.asarray(labels, dtype=np.int64)
     if len(X) != len(ys):
         raise ValueError("points and labels disagree in length")
     if X.shape[1] != model.input_dim:
         raise ValueError("data dimension does not match the model")
+    for name, val, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
+        if not (type(val) is int or isinstance(val, np.integer)) or val < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {val!r}")
 
     shuffle_rng, noise_rng = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn
 from .artifacts import write_csv
 from .classifier import predict_logits
 from .denoiser import AnalyticDenoiser
@@ -80,11 +81,10 @@ def curve(
     n, d = X0.shape
     if n < 1:
         raise ValueError("a sensitivity curve needs at least one point")
-    ys, C = np.asarray(labels), h.n_classes
+    ys = np.asarray(labels)
     if ys.shape != (n,) or ys.dtype.kind not in "iu":
         raise ValueError(f"labels must be {n} integers, one per point; got {ys.dtype} of shape {ys.shape}")
-    if ys.min() < 0 or ys.max() >= C:
-        raise ValueError(f"label {ys[(ys < 0) | (ys >= C)][0]} outside [0, {C})")
+    nn.check_class(ys, h.n_classes, "label")
     T = schedule.T
     eps = np.random.default_rng(seed).standard_normal((n, d))
     # every block's points, noise and labels, step-major: rows i*n..(i+1)*n
@@ -122,15 +122,12 @@ def curve(
         ratios[pairs - 1] = np.divide(num, den, out=np.full_like(num, np.nan), where=den > 0.0)
         last = F[-1], X[-1]
 
-    defined = ~np.isnan(ratios)
-    counts = defined.sum(axis=1)
-    filled = np.where(defined, ratios, 0.0)
-    with np.errstate(all="ignore"):
-        means = filled.sum(axis=1) / counts
-        centered = np.where(defined, ratios - means[:, None], 0.0)
-        stds = np.sqrt((centered**2).sum(axis=1) / counts)
-    means[counts == 0] = np.nan
-    stds[counts == 0] = np.nan
+    counts = np.count_nonzero(~np.isnan(ratios), axis=1)
+    some = counts > 0  # a step with no defined pair stays NaN
+    means, stds = np.full(T - 1, np.nan), np.full(T - 1, np.nan)
+    with np.errstate(all="ignore"):  # a ratio that overflowed to inf makes nanstd's centring warn
+        means[some] = np.nanmean(ratios[some], axis=1)
+        stds[some] = np.nanstd(ratios[some], axis=1)
     label = stabilizer.label if metric == "stabilized_gradient" else "none"
     return SensitivityCurve(
         metric, path, label, np.arange(2, T + 1), means, stds, counts.astype(np.int64)

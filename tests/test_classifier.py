@@ -284,6 +284,26 @@ def _rows_near_and_far(spec, seed):
     return np.concatenate([X, [spec.classes[-1].components[0].mean], far])
 
 
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        (-1, r"y must be an integer class in \[0, 2\), got -1"),
+        (2, r"y must be an integer class in \[0, 2\), got 2"),
+        (0.5, r"y must be an integer class in \[0, 2\), got 0.5"),
+        (True, r"y must be an integer class in \[0, 2\), got True"),
+        (np.array([0, -1, 1]), r"y -1 outside \[0, 2\)"),
+        (np.array([0.0, 1.0, 1.0]), r"y must be an integer class in \[0, 2\), got float64 of shape \(3,\)"),
+    ],
+    ids=["negative", "too-large", "fraction", "bool", "negative-row", "float-rows"],
+)
+@pytest.mark.parametrize("persona", ["h_nonrobust", "h_oracle"])
+def test_input_gradient_refuses_a_class_outside_the_classifiers(request, persona, y, message):
+    # -1 would give the last class's gradient, 0.5 class 0's and 2 an IndexError
+    h = request.getfixturevalue(persona)
+    with pytest.raises(ValueError, match=message):
+        input_gradient(h, np.zeros((3, 2)), y)
+
+
 @pytest.mark.parametrize("objective", ["log_softmax", "logit"])
 def test_oracle_scalar_class_equals_per_row_classes_bitwise(monkeypatch, objective):
     # a scalar class reads its own row of the pass, a class array gathers

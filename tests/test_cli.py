@@ -555,6 +555,31 @@ def test_sensitivity_refuses_a_bad_recipe(tmp_path, capsys, guidance, metric):
     assert not list(out.glob("sensitivity_*"))
 
 
+@pytest.mark.parametrize(
+    "stabilizer, field",
+    [
+        ({"kind": "ema", "beta1": 0.5}, "beta1"),
+        ({"kind": "adam", "beta": 0.5}, "beta"),
+        ({"kind": "identity", "beta": 5.0}, "beta"),
+    ],
+    ids=["ema-beta1", "adam-beta", "identity-beta-above-1"],
+)
+@pytest.mark.parametrize("where", ["config.guidance.stabilizer", "--stabilizer"])
+def test_a_stabilizer_field_its_kind_does_not_read_fails_closed(tmp_path, capsys, where, stabilizer, field):
+    # the field would be hashed into the run and ignored: ema(0.99), adam(0.9,0.999) or identity would run
+    if where == "--stabilizer":
+        guidance, argv = {}, ["--metric", "stabilized_gradient", "--stabilizer", json.dumps(stabilizer)]
+    else:
+        guidance, argv = {"stabilizer": stabilizer}, ["--metric", "gradient"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, "guidance": {"classifier": "bayes_oracle", **guidance}}))
+    out = tmp_path / "run"
+    assert _run("--config", str(path), "--out", str(out), "sensitivity", *argv) == EXIT_CONFIG
+    err = _one_config_error(capsys)
+    assert f"{where}: field {field!r} is not read by the {stabilizer['kind']} stabilizer" in err
+    assert not list(out.glob("sensitivity_*"))
+
+
 def _far_mixture(dist):
     comps = [[{"weight": 1.0, "mean": [dist, 0.0], "cov": 0.1}], [{"weight": 1.0, "mean": [dist, 1.0], "cov": 0.1}]]
     return {"data": {"classes": [{"prior": 0.5, "components": c} for c in comps]}}

@@ -413,6 +413,42 @@ def test_batch_refuses_chain_indices_that_contradict_n(small_denoiser, small_sch
         sample_batch(small_denoiser, small_schedule, cfg, 10, 1, chain_indices=[0, 1, 2])
 
 
+@pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+def test_batch_refuses_an_n_that_is_not_an_integer(small_denoiser, small_schedule, h_oracle, n):
+    # True would run one chain
+    cfg = GuidanceConfig(classifier=h_oracle, target_class=0, scale=1.0)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        sample_batch(small_denoiser, small_schedule, cfg, n, 1)
+
+
+def test_batch_refuses_a_repeated_chain_index(small_denoiser, small_schedule, h_oracle):
+    # [0, 0, 0] would return three copies of chain 0 as independent chains
+    cfg = GuidanceConfig(classifier=h_oracle, target_class=0, scale=1.0)
+    with pytest.raises(ValueError, match="chain indices repeat a chain"):
+        sample_batch(small_denoiser, small_schedule, cfg, 3, 1, chain_indices=[0, 0, 0])
+
+
+@pytest.mark.parametrize("index", [0.5, True], ids=["fraction", "bool"])
+def test_batch_refuses_a_chain_index_that_is_not_an_integer(small_denoiser, small_schedule, h_oracle, index):
+    # 0.5 would run as chain 0, True as chain 1
+    cfg = GuidanceConfig(classifier=h_oracle, target_class=0, scale=1.0)
+    with pytest.raises(ValueError, match="substream index must be an integer"):
+        sample_batch(small_denoiser, small_schedule, cfg, 1, 1, chain_indices=[index])
+
+
+@pytest.mark.parametrize(
+    "seed, index, name",
+    [(1.5, 0, "seed"), (True, 0, "seed"), (1, 0.5, "index"), (1, False, "index")],
+    ids=["fractional-seed", "bool-seed", "fractional-index", "bool-index"],
+)
+def test_substream_refuses_a_seed_or_index_that_is_not_an_integer(seed, index, name):
+    # int() would truncate 1.5 onto seed 1's stream
+    with pytest.raises(ValueError, match=f"substream {name} must be an integer"):
+        substream(seed, "chain", index)
+    # numpy integers name the same stream as Python ones
+    assert np.array_equal(substream(np.int64(3), "chain", np.uint32(2)).random(3), substream(3, "chain", 2).random(3))
+
+
 def test_batch_refuses_a_schedule_other_than_the_denoisers(small_denoiser, small_schedule, h_oracle):
     # same T, other betas: the denoiser's posterior would meet another
     # schedule's reverse coefficients

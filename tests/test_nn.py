@@ -256,6 +256,35 @@ def test_zero_epochs_leaves_model_unchanged(train_ds):
         assert np.array_equal(b0, b1)
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([0, 1, -1, 1], r"label -1 outside \[0, 2\)"),
+        ([0, 1, 0.5, 1], r"label must be an integer class in \[0, 2\), got float64"),
+    ],
+    ids=["negative", "fraction"],
+)
+def test_train_refuses_labels_outside_the_classes(labels, message):
+    # -1 trained the last class and 0.5 class 0
+    with pytest.raises(ValueError, match=message):
+        train(init_mlp([2, 8, 2], seed=3), np.zeros((4, 2)), labels, epochs=1)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"epochs": -1}, r"epochs must be an integer >= 0, got -1"),
+        ({"epochs": 2.0}, r"epochs must be an integer >= 0, got 2.0"),
+        ({"batch_size": 0}, r"batch_size must be an integer >= 1, got 0"),
+    ],
+    ids=["negative-epochs", "float-epochs", "zero-batch-size"],
+)
+def test_train_refuses_bad_epochs_and_batch_size(kw, message):
+    # epochs=-1 returned the untrained model, and batch_size=0 failed inside range()
+    with pytest.raises(ValueError, match=message):
+        train(init_mlp([2, 8, 2], seed=3), np.zeros((4, 2)), [0, 1, 0, 1], **kw)
+
+
 def test_zero_beta_schedule_equals_clean_mode(train_ds):
     sch0 = schedule_from_betas(np.zeros(20), allow_degenerate=True)
     m = init_mlp([2, 8, 2], seed=3)

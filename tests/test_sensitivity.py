@@ -1,14 +1,17 @@
 import csv
+import math
+import statistics
+import warnings
 
 import numpy as np
 import pytest
 
 import diffguide as dg
-from diffguide.classifier import ClassifierHandle, bayes_oracle
+from diffguide.classifier import ClassifierHandle, bayes_oracle, predict_logits
 from diffguide.denoiser import AnalyticDenoiser
 from diffguide.guidance import GuidanceConfig, adam, ema, identity
 from diffguide.nn import MlpModel
-from diffguide.schedule import schedule_from_betas
+from diffguide.schedule import forward_sample, schedule_from_betas
 from diffguide.sensitivity import curve, save_curve_csv
 from diffguide.synthdata import make_spec
 
@@ -196,6 +199,58 @@ def test_curve_degenerate_schedule(h_nonrobust, spec2):
     assert c.degenerate
     assert np.all(c.count == 0)
     assert np.all(np.isnan(c.mean))
+
+
+def test_curve_aggregates_each_steps_defined_ratios(h_oracle, spec2, monkeypatch):
+    # an aggregation check independent of numpy's NaN-aware reductions: beta_3
+    # = 0 puts every x_3 on x_2, so step 3 has no defined pair; point 0's x_6
+    # is pinned to its x_7 (step 7 loses one pair) and the other points' x_5
+    # to their x_6 (step 6 keeps only point 0's pair)
+    betas = np.linspace(0.01, 0.2, 8)
+    betas[3 - 1] = 0.0
+    dn = AnalyticDenoiser(spec2, schedule_from_betas(betas, allow_degenerate=True))
+    pts = np.random.default_rng(4).standard_normal((4, 2))
+    n, T = len(pts), dn.schedule.T
+
+    def pinned(schedule, X0, t, eps):
+        t = np.broadcast_to(t, len(X0))
+        point = np.arange(len(X0)) % n  # rows are step-major stacks of the n points
+        src = t.copy()
+        src[(t == 6) & (point == 0)] = 7
+        src[(t == 5) & (point > 0)] = 6
+        return forward_sample(schedule, X0, src, eps)
+
+    monkeypatch.setattr(dg.sensitivity, "forward_sample", pinned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = curve(_recipe(h_oracle), dn, pts, [0, 1, 1, 0], "logit", seed=9)
+    eps = np.random.default_rng(9).standard_normal((n, 2))
+    xs = {t: pinned(dn.schedule, pts, t, eps).tolist() for t in range(1, T + 1)}
+    fs = {t: predict_logits(h_oracle, np.array(x)).tolist() for t, x in xs.items()}
+    for t in range(2, T + 1):
+        ratios = [
+            math.dist(fs[t][i], fs[t - 1][i]) / math.dist(xs[t][i], xs[t - 1][i])
+            for i in range(n)
+            if xs[t][i] != xs[t - 1][i]
+        ]
+        assert c.count[t - 2] == len(ratios) == {3: 0, 6: 1, 7: 3}.get(t, n), t
+        if ratios:
+            assert c.mean[t - 2] == pytest.approx(statistics.fmean(ratios), rel=1e-13, abs=0), t
+            assert c.std[t - 2] == pytest.approx(statistics.pstdev(ratios), rel=1e-12, abs=1e-300), t
+        else:
+            assert np.isnan(c.mean[t - 2]) and np.isnan(c.std[t - 2]), t
+
+
+def test_a_ratio_that_overflows_reads_inf_and_the_aggregation_stays_quiet(small_denoiser):
+    # the far point's logit change overflows its norm to inf: each step's mean
+    # is inf and its std NaN (inf - inf in the centring), with no warning from
+    # the aggregation, which pytest would raise as an error
+    h = _linear_handle(np.eye(2) * 1e150)
+    pts = np.array([[0.3, -0.2], [1e10, 0.0]])
+    with np.errstate(over="ignore"):  # the norm's own overflow
+        c = curve(_recipe(h), small_denoiser, pts, [0, 1], "logit", seed=2)
+    assert np.all(c.count == 2)
+    assert np.all(c.mean == np.inf) and np.all(np.isnan(c.std))
 
 
 def test_curve_deterministic(h_nonrobust, small_denoiser, val_ds):
