@@ -65,8 +65,8 @@ def input_gradient(h: ClassifierHandle, x, y, objective: str = "log_softmax") ->
         return nn.input_gradient(h.model, x, y, objective)
     if objective not in nn._OBJECTIVES:
         raise ValueError(f"objective must be one of {nn._OBJECTIVES}")
-    nn.check_class(y, h.n_classes)
     X, single = as_batch(x)
+    nn.check_class(y, h.n_classes, rows=len(X))
     with np.errstate(over="ignore", invalid="ignore"):  # far points: see _oracle_pass
         logits, grads, some_gone = _oracle_pass(h, X)  # (C, n), (C, d, n)
         # gradient of the class-y logit (d, n): one class's row of the pass,

@@ -29,6 +29,7 @@ from .rng import substream_seed
 from .schedule import linear_schedule
 from .synthdata import (
     GmmSpec,
+    LabeledDataset,
     make_spec,
     sample_dataset,
     save_dataset_csv,
@@ -240,10 +241,13 @@ def _seed(cfg: dict, label: str, index: int = 0) -> int:
     return int(substream_seed(cfg["seed"], label, index).generate_state(1)[0])
 
 
+def _dataset(cfg: dict, spec: GmmSpec, part: str) -> LabeledDataset:
+    """The config's "train" or "val" set, each drawn from its own seed."""
+    return sample_dataset(spec, cfg["data"][f"n_{part}"], _seed(cfg, f"dataset-{part}"))
+
+
 def _datasets(cfg: dict, spec: GmmSpec):
-    train_ds = sample_dataset(spec, cfg["data"]["n_train"], _seed(cfg, "dataset-train"))
-    val_ds = sample_dataset(spec, cfg["data"]["n_val"], _seed(cfg, "dataset-val"))
-    return train_ds, val_ds
+    return _dataset(cfg, spec, "train"), _dataset(cfg, spec, "val")
 
 
 PERSONAS = ("non_robust", "robust")  # the trained classifiers; robust trains on forward-noised points
@@ -382,7 +386,7 @@ def cmd_sensitivity(cfg: dict, chash: str, out: Path, args) -> int:
         raise ConfigError("--stabilizer goes with --metric stabilized_gradient and with no other metric")
     dn, gcfg = _guided_setup(cfg, out)
     recipe = dataclasses.replace(gcfg, path=args.path, stabilizer=stab or gd.identity())
-    _, val_ds = _datasets(cfg, dn.spec)
+    val_ds = _dataset(cfg, dn.spec, "val")
     n = min(cfg["sensitivity"]["n"], len(val_ds))
     curve_obj = sens.curve(
         recipe, dn, val_ds.points[:n], val_ds.labels[:n], args.metric, seed=_seed(cfg, "sensitivity-eps")

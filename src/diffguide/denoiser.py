@@ -20,7 +20,7 @@ information enters sampling only through the guiding classifier.
 import numpy as np
 
 from .schedule import Schedule
-from .synthdata import ComponentTables, GmmSpec, _contract, _ordered_sum, as_batch
+from .synthdata import ComponentTables, GmmSpec, _contract, _ordered_sum, _sum_of_products, as_batch
 
 
 class AnalyticDenoiser:
@@ -82,9 +82,9 @@ class AnalyticDenoiser:
             return E_rows, None
         # gradient of each component's log marginal density: -S_k^{-1} diff
         dens_grad = tb.score(proj, t)
-        J = _ordered_sum(self.A[t] * r[..., None, None, :, :], axis=-2)  # (..., d, d, n)
-        J += _ordered_sum(weighted[..., None, :, :] * dens_grad[..., None, :, :, :], axis=-2)
-        gbar = _ordered_sum(r[..., None, :, :] * dens_grad, axis=-2)
+        J = _sum_of_products(self.A[t], r[..., None, None, :, :], axis=-2)  # (..., d, d, n)
+        J += _sum_of_products(weighted[..., None, :, :], dens_grad[..., None, :, :, :], axis=-2)
+        gbar = _sum_of_products(r[..., None, :, :], dens_grad, axis=-2)
         J -= E[..., None, :] * gbar[..., None, :, :]
         return E_rows, np.ascontiguousarray(J.swapaxes(-1, -2).swapaxes(-2, -3).reshape(-1, d, d))
 

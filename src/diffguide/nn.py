@@ -75,16 +75,19 @@ class MlpModel:
         return self.weights[-1].shape[1]
 
 
-def check_class(y, n_classes: int, name: str = "y") -> None:
+def check_class(y, n_classes: int, name: str = "y", rows: int | None = None) -> None:
     """Raise ValueError unless y is an integer class in [0, n_classes) or an
-    integer array of such classes. A negative class would otherwise wrap
-    round to the last one, a float would truncate and a bool would index as
-    a mask. One class, the sampler's case, costs a comparison and no array."""
+    integer array of such classes, one per row when rows is given. A negative
+    class would otherwise wrap round to the last one, a float would truncate
+    and a bool would index as a mask. One class, the sampler's case, costs a
+    comparison and no array."""
     if type(y) is int or isinstance(y, np.integer):
         if not 0 <= y < n_classes:
             raise ValueError(f"{name} must be an integer class in [0, {n_classes}), got {y!r}")
         return
     ys = np.asarray(y)
+    if rows is not None and ys.ndim and ys.shape != (rows,):
+        raise ValueError(f"{name} of shape {ys.shape}: expected one class, or {rows} classes, one per row")
     if ys.dtype.kind not in "iu":
         got = repr(y) if ys.ndim == 0 else f"{ys.dtype} of shape {ys.shape}"
         raise ValueError(f"{name} must be an integer class in [0, {n_classes}), got {got}")
@@ -199,8 +202,8 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
-    check_class(y, model.n_classes)
     X, single = as_batch(x)
+    check_class(y, model.n_classes, rows=len(X))
     n, d = X.shape
     padded = n + (-n % _BLOCK)
     onehot = np.zeros((model.n_classes, padded))  # class-major; padding rows' gradients are dropped

@@ -117,8 +117,9 @@ def curve(
         else:
             pairs = ts
             F, X = np.concatenate((last[0][None], F)), np.concatenate((last[1][None], X))
-        num = np.linalg.norm(F[:-1] - F[1:], axis=-1)
-        den = np.linalg.norm(X[:-1] - X[1:], axis=-1)
+        with np.errstate(over="ignore"):  # a norm that overflows is recorded as inf
+            num = np.linalg.norm(F[:-1] - F[1:], axis=-1)
+            den = np.linalg.norm(X[:-1] - X[1:], axis=-1)
         ratios[pairs - 1] = np.divide(num, den, out=np.full_like(num, np.nan), where=den > 0.0)
         last = F[-1], X[-1]
 

@@ -219,10 +219,26 @@ def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return total
 
 
+def _sum_of_products(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """_ordered_sum(a * b, axis) for a negative axis, without forming a * b:
+    term 0's product, then each later term's product added in index order,
+    an operand of length 1 on the axis broadcast. Every element sees the same
+    operations, so the bits are those of the whole product's sum."""
+    tail = (slice(None),) * (-axis - 1)
+
+    def term(x, k):
+        return x[(..., k if x.shape[axis] > 1 else 0) + tail]
+
+    total = term(a, 0) * term(b, 0)
+    for k in range(1, max(a.shape[axis], b.shape[axis])):
+        total += term(a, k) * term(b, k)
+    return total
+
+
 def _contract(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
     """out[..., o, k, n] = sum_j coef[..., j, o, k] v[..., j, k, n], for coef
     (..., j, o, K, 1)."""
-    return _ordered_sum(coef * v[..., None, :, :], axis=-4)
+    return _sum_of_products(coef, v[..., None, :, :], axis=-4)
 
 
 class ComponentTables:
@@ -265,9 +281,12 @@ class ComponentTables:
 
     def log_joint(self, X: np.ndarray, row) -> tuple[np.ndarray, np.ndarray]:
         """Eigenbasis offsets V_k^T (x - sqrt(ab) mu_k) (d, K, n) and each
-        component's log joint log w_k + log N(x; sqrt(ab) mu_k, S_k) (K, n).
-        For an array of s rows, X (s n, d) is step-major and the results
-        are (s, d, K, n) and (s, K, n)."""
+        component's log joint log w_k + log N(x; sqrt(ab) mu_k, S_k) (K, n),
+        for points X (n, d) of the spec's dimension d, or ValueError. For an
+        array of s rows, X (s n, d) is step-major and the results are
+        (s, d, K, n) and (s, K, n)."""
+        if X.shape[1:] != self.means.shape[1:]:
+            raise ValueError(f"points of shape {X.shape}: expected (n, {self.means.shape[1]}), one point per row")
         marg = self.marg[row]
         steps = isinstance(row, np.ndarray) and row.ndim > 0  # a 0-d array is one row
         points = X.reshape(len(row), -1, X.shape[1]).swapaxes(-1, -2) if steps else X.T  # (..., d, n)

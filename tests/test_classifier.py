@@ -293,15 +293,28 @@ def _rows_near_and_far(spec, seed):
         (True, r"y must be an integer class in \[0, 2\), got True"),
         (np.array([0, -1, 1]), r"y -1 outside \[0, 2\)"),
         (np.array([0.0, 1.0, 1.0]), r"y must be an integer class in \[0, 2\), got float64 of shape \(3,\)"),
+        (np.array([0, 1]), r"y of shape \(2,\): expected one class, or 3 classes, one per row"),
+        (np.array([0, 1, 1, 0]), r"y of shape \(4,\): expected one class, or 3 classes, one per row"),
+        (np.zeros((3, 1), dtype=np.int64), r"y of shape \(3, 1\): expected one class, or 3 classes, one per row"),
     ],
-    ids=["negative", "too-large", "fraction", "bool", "negative-row", "float-rows"],
+    ids=["negative", "too-large", "fraction", "bool", "negative-row", "float-rows", "short", "long", "column"],
 )
 @pytest.mark.parametrize("persona", ["h_nonrobust", "h_oracle"])
 def test_input_gradient_refuses_a_class_outside_the_classifiers(request, persona, y, message):
-    # -1 would give the last class's gradient, 0.5 class 0's and 2 an IndexError
+    # -1 would give the last class's gradient, 0.5 class 0's and 2 an
+    # IndexError; class arrays of another length failed in the one-hot or
+    # gather with an IndexError naming neither y nor the rows
     h = request.getfixturevalue(persona)
     with pytest.raises(ValueError, match=message):
         input_gradient(h, np.zeros((3, 2)), y)
+
+
+@pytest.mark.parametrize("call", ["logits", "gradient"])
+def test_oracle_refuses_points_of_another_dimension(h_oracle, call):
+    # three coordinates on the 2-D spec failed as a numpy broadcast error
+    X = np.zeros((5, 3))
+    with pytest.raises(ValueError, match=r"points of shape \(5, 3\): expected \(n, 2\)"):
+        predict_logits(h_oracle, X) if call == "logits" else input_gradient(h_oracle, X, 0)
 
 
 @pytest.mark.parametrize("objective", ["log_softmax", "logit"])

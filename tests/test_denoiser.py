@@ -278,6 +278,14 @@ def test_correlated_mixture_jacobian_finite_differences():
         assert np.abs(J - J_fd).max() <= 1e-5
 
 
+@pytest.mark.parametrize("x", [np.zeros((4, 1)), np.zeros(1), np.zeros((4, 3)), np.zeros((4, 1, 2))],
+                         ids=["one-coordinate-rows", "one-coordinate-point", "three-coordinate-rows", "three-axes"])
+def test_posterior_mean_refuses_points_of_another_dimension(denoiser, x):
+    # a one-coordinate point broadcast against the 2-D tables and came back 2-D
+    with pytest.raises(ValueError, match=r"points of shape .*: expected \(n, 2\)"):
+        denoiser.posterior_mean_x0(x, 5)
+
+
 def test_batch_matches_single(denoiser):
     rng = np.random.default_rng(14)
     X = rng.standard_normal((9, 2))

@@ -107,6 +107,12 @@ def test_evaluate_pooled_samples(spec2, h_oracle):
     assert rep.target_accuracy_oracle == pytest.approx(0.5, abs=0.05)
 
 
+def test_evaluate_refuses_samples_of_another_dimension(spec2, h_oracle):
+    # three coordinates on the 2-D spec failed as a numpy broadcast error
+    with pytest.raises(ValueError, match=r"points of shape \(50, 3\): expected \(n, 2\)"):
+        evaluate(np.zeros((50, 3)), spec2, 1, h_oracle, seed=11)
+
+
 def test_evaluate_deterministic(spec2, h_oracle):
     samples = sample_dataset(spec2, 500, 29).points
     a = evaluate(samples, spec2, 0, h_oracle, seed=3)

@@ -1,7 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from diffguide.classifier import bayes_oracle, predict_logits
@@ -9,6 +13,7 @@ from diffguide.denoiser import AnalyticDenoiser
 from diffguide.schedule import linear_schedule
 from diffguide.synthdata import (
     _ordered_sum,
+    _sum_of_products,
     make_spec,
     pooled_components,
     sample_class_points,
@@ -213,3 +218,53 @@ def test_ordered_sum_adds_terms_in_index_order(shape):
         assert not np.shares_memory(total, a), axis  # callers add into the result
     if shape[-1] == 9:  # numpy's pairwise sum would reorder these terms
         assert not np.array_equal(np.sum(a, axis=-1), _index_order_sum(a, -1))
+
+
+# signed zeros, infinities, NaN, subnormals and magnitudes over many decades
+_SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e-300]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two broadcastable operands and a negative axis, shaped as the posterior
+    pass's sums: (steps?, d, d, K, n) over K (axis -2) or over the first d
+    (axis -4), each axis of each operand either full or 1."""
+    d, K, n = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    full = ((draw(st.integers(1, 3)),) if draw(st.booleans()) else ()) + (d, d, K, n)
+    axis = draw(st.sampled_from([-2, -4]))
+    pair = []
+    for _ in range(2):
+        keep = draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
+        shape = tuple(size if kept else 1 for size, kept in zip(full, keep))
+        pair.append(draw(arrays(np.float64, shape, elements=_FLOATS)))
+    return pair[0], pair[1], axis
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_operand_pairs())
+def test_sum_of_products_has_the_bits_of_the_whole_products_sum(case):
+    a, b, axis = case
+    with np.errstate(all="ignore"):  # inf * 0, inf - inf and overflow are part of the case
+        want = _ordered_sum(a * b, axis)
+        got = _sum_of_products(a, b, axis)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, a) and not np.shares_memory(got, b)  # callers add into it
+
+
+def test_sum_of_products_never_holds_the_whole_product():
+    # the Jacobian's first sum in a 16-step block of 250 points: A (16, d, d, K, 1)
+    # against the responsibilities; the whole product would be 4x the output
+    rng = np.random.default_rng(3)
+    A, r = rng.standard_normal((16, 2, 2, 4, 1)), rng.random((16, 4, 250))
+    b = r[..., None, None, :, :]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = _sum_of_products(A, b, axis=-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (16, 2, 2, 250)
+    assert peak < 4 * out.nbytes, peak / out.nbytes
