@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .synthdata import GmmSpec, _ordered_sum, as_batch
+from .synthdata import GmmSpec, _ordered_sum, as_batch, check_class
 
 _KINDS = ("non_robust", "robust", "bayes_oracle")
+_CLEAN_ROW = np.zeros(1, dtype=np.intp)  # the one row of GmmSpec.clean_tables
+_CLEAN_ROW.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ def input_gradient(h: ClassifierHandle, x, y, objective: str = "log_softmax") ->
     if objective not in nn._OBJECTIVES:
         raise ValueError(f"objective must be one of {nn._OBJECTIVES}")
     X, single = as_batch(x)
-    nn.check_class(y, h.n_classes, rows=len(X))
+    check_class(y, h.n_classes, rows=len(X))
     with np.errstate(over="ignore", invalid="ignore"):  # far points: see _oracle_pass
         logits, grads, some_gone = _oracle_pass(h, X)  # (C, n), (C, d, n)
         # gradient of the class-y logit (d, n): one class's row of the pass,
@@ -94,8 +96,8 @@ def _oracle_pass(h: ClassifierHandle, X: np.ndarray):
     beyond about 1e154), the class's logit is -inf and its gradient 0; the
     callers run it with overflow and invalid-value warnings off."""
     tb = h.spec.clean_tables
-    proj, log_joint = tb.log_joint(X, 0)  # (d, K, n), (K, n)
-    score = tb.score(proj, 0)
+    proj, log_joint = tb.log_joint(X, _CLEAN_ROW)  # (1, d, K, n), (1, K, n)
+    score, log_joint = tb.score(proj, _CLEAN_ROW)[0], log_joint[0]
     (n, d), C = X.shape, h.spec.n_classes
     peaks, logits, grads, lo = np.empty((C, n)), np.empty((C, n)), np.empty((C, d, n)), 0
     for c, cls in enumerate(h.spec.classes):

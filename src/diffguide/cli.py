@@ -360,7 +360,7 @@ def cmd_train(cfg: dict, chash: str, out: Path, args) -> int:
     spec = build_spec(cfg)
     schedule = build_schedule(cfg)
     model = nn.init_mlp([spec.dim, *tr["hidden"], spec.n_classes], tr["activation"], seed=_seed(cfg, f"init-{persona}"))
-    train_ds, _ = _datasets(cfg, spec)
+    train_ds = _dataset(cfg, spec, "train")
     with np.errstate(all="ignore"):  # a diverging run ends in TrainingDiverged, reported by main
         result = nn.train(
             model,

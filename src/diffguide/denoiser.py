@@ -55,20 +55,16 @@ class AnalyticDenoiser:
 
         t may also be an integer array of s steps: X then stacks s groups of
         rows, step-major (group i is at step t[i]), and the results stack the
-        same way. Each step's tables are read once and broadcast over its
-        group, so the stack equals s separate calls bit for bit. A 0-d
-        array is one step."""
+        same way. One step is a stack of one. Each step's tables are read
+        once and broadcast over its group, so the stack equals s separate
+        calls bit for bit."""
         self.schedule.check_steps(t)
-        if isinstance(t, np.ndarray) and t.ndim != 1:
-            if t.ndim:
-                raise ValueError(f"step array of shape {t.shape}: expected one step or a 1-D array of steps")
-            t = int(t)  # a 0-d array is one step, as forward_sample reads it
-        n_steps = len(t) if isinstance(t, np.ndarray) else 1  # as tb.log_joint tells them apart
-        if n_steps == 0 or len(X) % n_steps:
-            raise ValueError(f"{len(X)} rows do not split into {n_steps} steps")
+        t = np.atleast_1d(t)
+        if t.ndim != 1 or len(t) == 0 or len(X) % len(t):
+            raise ValueError(f"{len(X)} rows do not split into steps of shape {t.shape}: expected a nonempty 1-D array")
         tb = self.tables
         d = self.dim
-        # (..., d, K, n) offsets and (..., K, n) log joints; "..." is the step axis
+        # (s, d, K, n) offsets and (s, K, n) log joints
         proj, log_r = tb.log_joint(X, t)
         r = np.exp(log_r - log_r.max(axis=-2, keepdims=True))
         r /= _ordered_sum(r, axis=-2)[..., None, :]  # responsibilities
@@ -76,13 +72,13 @@ class AnalyticDenoiser:
         sa = self.schedule.sqrt_alpha_bar[t, None, None, None]
         comp_mean = tb.column_means + sa * _contract(tb.from_eigen, proj * tb.shrink[t])
         weighted = r[..., None, :, :] * comp_mean
-        E = _ordered_sum(weighted, axis=-2)  # (..., d, n)
+        E = _ordered_sum(weighted, axis=-2)  # (s, d, n)
         E_rows = np.ascontiguousarray(E.swapaxes(-1, -2).reshape(-1, d))
         if not with_jacobian:
             return E_rows, None
         # gradient of each component's log marginal density: -S_k^{-1} diff
         dens_grad = tb.score(proj, t)
-        J = _sum_of_products(self.A[t], r[..., None, None, :, :], axis=-2)  # (..., d, d, n)
+        J = _sum_of_products(self.A[t], r[..., None, None, :, :], axis=-2)  # (s, d, d, n)
         J += _sum_of_products(weighted[..., None, :, :], dens_grad[..., None, :, :, :], axis=-2)
         gbar = _sum_of_products(r[..., None, :, :], dens_grad, axis=-2)
         J -= E[..., None, :] * gbar[..., None, :, :]

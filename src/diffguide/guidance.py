@@ -17,6 +17,7 @@ from . import nn
 from .denoiser import AnalyticDenoiser
 from .rng import substream
 from .schedule import Schedule
+from .synthdata import check_class
 
 
 # -- stabilizers -------------------------------------------------------------
@@ -125,7 +126,7 @@ class GuidanceConfig:
             raise ValueError("jacobian_mode must be 'full' or 'stop_gradient'")
         if self.objective not in nn._OBJECTIVES:
             raise ValueError(f"objective must be one of {nn._OBJECTIVES}")
-        nn.check_class(self.target_class, self.classifier.n_classes, "target_class")
+        check_class(self.target_class, self.classifier.n_classes, "target_class")
 
     @property
     def needs_jacobian(self) -> bool:

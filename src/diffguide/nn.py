@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import Schedule, forward_sample
-from .synthdata import as_batch
+from .synthdata import as_batch, check_class
 
 _ACTIVATIONS = ("tanh", "softplus")
 _OBJECTIVES = ("log_softmax", "logit")
@@ -73,26 +73,6 @@ class MlpModel:
     @property
     def n_classes(self) -> int:
         return self.weights[-1].shape[1]
-
-
-def check_class(y, n_classes: int, name: str = "y", rows: int | None = None) -> None:
-    """Raise ValueError unless y is an integer class in [0, n_classes) or an
-    integer array of such classes, one per row when rows is given. A negative
-    class would otherwise wrap round to the last one, a float would truncate
-    and a bool would index as a mask. One class, the sampler's case, costs a
-    comparison and no array."""
-    if type(y) is int or isinstance(y, np.integer):
-        if not 0 <= y < n_classes:
-            raise ValueError(f"{name} must be an integer class in [0, {n_classes}), got {y!r}")
-        return
-    ys = np.asarray(y)
-    if rows is not None and ys.ndim and ys.shape != (rows,):
-        raise ValueError(f"{name} of shape {ys.shape}: expected one class, or {rows} classes, one per row")
-    if ys.dtype.kind not in "iu":
-        got = repr(y) if ys.ndim == 0 else f"{ys.dtype} of shape {ys.shape}"
-        raise ValueError(f"{name} must be an integer class in [0, {n_classes}), got {got}")
-    if ys.size and (ys.min() < 0 or ys.max() >= n_classes):
-        raise ValueError(f"{name} {ys[(ys < 0) | (ys >= n_classes)].flat[0]} outside [0, {n_classes})")
 
 
 def init_mlp(layer_sizes: list[int], activation: str = "tanh", seed: int = 0) -> MlpModel:

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
 from .artifacts import write_csv
 from .classifier import predict_logits
 from .denoiser import AnalyticDenoiser
 from .guidance import GuidanceConfig, guidance_gradient, init_stabilizer_state, stabilize
 from .schedule import forward_sample
+from .synthdata import check_class
 
 _METRICS = ("logit", "gradient", "stabilized_gradient")
 # rows per block of the walk: blocks hold max(1, _BLOCK_ROWS // n) steps
@@ -69,7 +69,9 @@ def curve(
     recipe.target_class; logits are taken at x_t (raw) or E[x0 | x_t]
     (x0pred). Undefined (zero-distance) pairs are dropped per step and the
     remaining count recorded. points must be (n, dn.dim) and labels n
-    integer classes of the classifier, or ValueError is raised.
+    integer classes of the classifier, or ValueError is raised. A pair of
+    distinct points whose change is NaN, as from a classifier that returns
+    NaN, raises ValueError too, rather than read as an undefined pair.
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}")
@@ -84,7 +86,7 @@ def curve(
     ys = np.asarray(labels)
     if ys.shape != (n,) or ys.dtype.kind not in "iu":
         raise ValueError(f"labels must be {n} integers, one per point; got {ys.dtype} of shape {ys.shape}")
-    nn.check_class(ys, h.n_classes, "label")
+    check_class(ys, h.n_classes, "label")
     T = schedule.T
     eps = np.random.default_rng(seed).standard_normal((n, d))
     # every block's points, noise and labels, step-major: rows i*n..(i+1)*n
@@ -120,6 +122,10 @@ def curve(
         with np.errstate(over="ignore"):  # a norm that overflows is recorded as inf
             num = np.linalg.norm(F[:-1] - F[1:], axis=-1)
             den = np.linalg.norm(X[:-1] - X[1:], axis=-1)
+        nan_change = np.isnan(num) & (den > 0.0)
+        if nan_change.any():
+            step = pairs[nan_change.any(axis=1)][0] + 1
+            raise ValueError(f"the {metric} changed by NaN between distinct points at step {step}")
         ratios[pairs - 1] = np.divide(num, den, out=np.full_like(num, np.nan), where=den > 0.0)
         last = F[-1], X[-1]
 

@@ -170,7 +170,7 @@ def sample_labeled(spec: GmmSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_class_points(spec: GmmSpec, y: int, n: int, rng) -> np.ndarray:
     """Draw n points from class y's mixture using the supplied generator."""
-    _check_class(spec, y)
+    check_class(y, spec.n_classes)
     return _sample_class(spec.classes[y], n, rng)
 
 
@@ -206,6 +206,26 @@ def as_batch(x) -> tuple[np.ndarray, bool]:
     """x as an (n, d) float batch, and whether it was a single point (d,)."""
     x = np.asarray(x, dtype=np.float64)
     return (x[None, :], True) if x.ndim == 1 else (x, False)
+
+
+def check_class(y, n_classes: int, name: str = "y", rows: int | None = None) -> None:
+    """Raise ValueError unless y is an integer class in [0, n_classes) or an
+    integer array of such classes, one per row when rows is given. A negative
+    class would otherwise wrap round to the last one, a float would truncate
+    and a bool would index as a mask. One class, the sampler's case, costs a
+    comparison and no array."""
+    if type(y) is int or isinstance(y, np.integer):
+        if not 0 <= y < n_classes:
+            raise ValueError(f"{name} must be an integer class in [0, {n_classes}), got {y!r}")
+        return
+    ys = np.asarray(y)
+    if rows is not None and ys.ndim and ys.shape != (rows,):
+        raise ValueError(f"{name} of shape {ys.shape}: expected one class, or {rows} classes, one per row")
+    if ys.dtype.kind not in "iu":
+        got = repr(y) if ys.ndim == 0 else f"{ys.dtype} of shape {ys.shape}"
+        raise ValueError(f"{name} must be an integer class in [0, {n_classes}), got {got}")
+    if ys.size and (ys.min() < 0 or ys.max() >= n_classes):
+        raise ValueError(f"{name} {ys[(ys < 0) | (ys >= n_classes)].flat[0]} outside [0, {n_classes})")
 
 
 def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
@@ -246,13 +266,12 @@ class ComponentTables:
     forward-noised marginals N(sqrt(ab) mu_k, ab Sigma_k + (1 - ab) I)
     tabulated at each row of alpha_bars (ab = 1 is clean data).
 
-    Passes work on (coordinate, component, row) arrays, with coefficient
-    tables ending in (K, 1), and sum broadcast products term by term in index
-    order, so a row's result does not depend on the rest of the batch. A pass
-    at an array of s table rows takes a step-major batch of s groups of n
-    points and works on (s, coordinate, component, n) arrays: each table row
-    is read once and broadcast over its group, and every element sees the
-    operations of a pass at that one row.
+    A pass is made at a 1-D array of s table rows (one row is an array of
+    one), over a step-major batch of s groups of n points, and works on
+    (s, coordinate, component, n) arrays, with coefficient tables ending in
+    (K, 1). Each table row is read once and broadcast over its group, and
+    broadcast products are summed term by term in index order, so a row's
+    result depends neither on the rest of its group nor on the other groups.
     """
 
     def __init__(self, spec: GmmSpec, alpha_bars):
@@ -279,31 +298,24 @@ class ComponentTables:
         self.shifted_means = per_row(sa * means)  # sqrt(ab) mu_k
         self.shrink = per_row(shrink)
 
-    def log_joint(self, X: np.ndarray, row) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenbasis offsets V_k^T (x - sqrt(ab) mu_k) (d, K, n) and each
-        component's log joint log w_k + log N(x; sqrt(ab) mu_k, S_k) (K, n),
-        for points X (n, d) of the spec's dimension d, or ValueError. For an
-        array of s rows, X (s n, d) is step-major and the results are
-        (s, d, K, n) and (s, K, n)."""
+    def log_joint(self, X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenbasis offsets V_k^T (x - sqrt(ab) mu_k) (s, d, K, n) and each
+        component's log joint log w_k + log N(x; sqrt(ab) mu_k, S_k) (s, K, n),
+        at a 1-D array of s table rows, for step-major points X (s n, d) of the
+        spec's dimension d, or ValueError."""
         if X.shape[1:] != self.means.shape[1:]:
             raise ValueError(f"points of shape {X.shape}: expected (n, {self.means.shape[1]}), one point per row")
-        marg = self.marg[row]
-        steps = isinstance(row, np.ndarray) and row.ndim > 0  # a 0-d array is one row
-        points = X.reshape(len(row), -1, X.shape[1]).swapaxes(-1, -2) if steps else X.T  # (..., d, n)
-        diff = points[..., None, :] - self.shifted_means[row]  # (..., d, K, n)
+        marg = self.marg[rows]
+        points = X.reshape(len(rows), -1, X.shape[1]).swapaxes(-1, -2)  # (s, d, n)
+        diff = points[..., None, :] - self.shifted_means[rows]  # (s, d, K, n)
         proj = _contract(self.to_eigen, diff)
         quad = _ordered_sum(proj * proj / marg, axis=-3)
-        return proj, self.log_weights - 0.5 * (quad + self.log_norm[row])
+        return proj, self.log_weights - 0.5 * (quad + self.log_norm[rows])
 
-    def score(self, proj: np.ndarray, row) -> np.ndarray:
+    def score(self, proj: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Each component's log-density gradient -S_k^{-1} (x - sqrt(ab) mu_k),
-        shaped like proj."""
-        return -_contract(self.from_eigen, proj / self.marg[row])
-
-
-def _check_class(spec: GmmSpec, y: int) -> None:
-    if not 0 <= y < spec.n_classes:
-        raise ValueError(f"class index {y} outside [0, {spec.n_classes})")
+        shaped like proj (s, d, K, n)."""
+        return -_contract(self.from_eigen, proj / self.marg[rows])
 
 
 def save_dataset_csv(dataset: LabeledDataset, path) -> None:

@@ -25,7 +25,7 @@ from diffguide.guidance import GuidanceConfig, guidance_gradient, init_stabilize
 from diffguide.nn import MlpModel
 from diffguide.rng import substream
 from diffguide.schedule import Schedule, forward_sample
-from diffguide.synthdata import GmmSpec, LabeledDataset, _check_class, as_batch
+from diffguide.synthdata import GmmSpec, LabeledDataset, as_batch, check_class
 
 
 # -- pipeline conveniences -----------------------------------------------------
@@ -245,7 +245,7 @@ def sensitivity_walk(
 
 def log_class_density(spec: GmmSpec, y: int, x) -> np.ndarray | float:
     """log sum_k w_k N(x; mu_k, Sigma_k) for class y, stable for small values."""
-    _check_class(spec, y)
+    check_class(y, spec.n_classes)
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x

@@ -452,6 +452,23 @@ def test_bundle_step_stack_equals_per_step_calls_bitwise(schedule400, spec2, dim
                     assert J is None
 
 
+@pytest.mark.parametrize("preset", ["two_class", "three_class", "full_covariance_3d"])
+def test_oracle_clean_pass_equals_the_denoisers_row_0_pass_bitwise(schedule400, preset):
+    # the Bayes oracle reads spec.clean_tables, built at ab = 1 alone; the
+    # denoiser's tables hold the same clean data at row 0 of every step
+    presets = {"two_class": dg.two_class_benchmark, "three_class": dg.three_class_benchmark}
+    spec = presets.get(preset, _spec3)()
+    dn = AnalyticDenoiser(spec, schedule400)
+    X = np.random.default_rng(37).standard_normal((250, spec.dim)) * 1.5
+    row = np.array([0])
+    proj, log_joint = spec.clean_tables.log_joint(X, row)
+    dn_proj, dn_log_joint = dn.tables.log_joint(X, row)
+    assert proj.shape == (1, spec.dim, len(dn.tables.weights), len(X))
+    assert proj.tobytes() == dn_proj.tobytes()
+    assert log_joint.tobytes() == dn_log_joint.tobytes()
+    assert spec.clean_tables.score(proj, row).tobytes() == dn.tables.score(dn_proj, row).tobytes()
+
+
 def test_guided_gradient_is_jacobian_pullback_bitwise(denoiser, h_nonrobust):
     # one posterior pass gives the same bits as the mean and Jacobian
     # computed by separate passes and contracted with the classifier gradient

@@ -201,6 +201,24 @@ def test_curve_degenerate_schedule(h_nonrobust, spec2):
     assert np.all(np.isnan(c.mean))
 
 
+def test_curve_refuses_a_nan_change_between_distinct_points(small_denoiser, spec2):
+    # one NaN output weight makes every logit NaN: a NaN change between
+    # distinct points is a fault of the classifier, not an undefined pair
+    model = dg.init_mlp([2, 4, 2], "tanh", seed=3)
+    W_out = model.weights[1].copy()
+    W_out[0, 0] = np.nan
+    h = ClassifierHandle("non_robust", model=MlpModel((model.weights[0], W_out), model.biases, "tanh"))
+    pts = np.random.default_rng(0).standard_normal((5, 2))
+    for metric in ("logit", "gradient", "stabilized_gradient"):
+        for path in ("raw", "x0pred"):
+            with pytest.raises(ValueError, match="changed by NaN between distinct points"):
+                curve(_recipe(h, path=path), small_denoiser, pts, np.zeros(5, dtype=int), metric, seed=1)
+    # no pair is distinct under a zero-beta schedule: still degenerate, not refused
+    dn0 = AnalyticDenoiser(spec2, schedule_from_betas(np.zeros(12), allow_degenerate=True))
+    c = curve(_recipe(h), dn0, pts, np.zeros(5, dtype=int), "logit", seed=1)
+    assert c.degenerate and np.all(c.count == 0)
+
+
 def test_curve_aggregates_each_steps_defined_ratios(h_oracle, spec2, monkeypatch):
     # an aggregation check independent of numpy's NaN-aware reductions: beta_3
     # = 0 puts every x_3 on x_2, so step 3 has no defined pair; point 0's x_6

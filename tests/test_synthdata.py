@@ -170,6 +170,15 @@ def test_sample_class_points_only_that_class():
     assert np.mean(pts[:, 0] < 0) > 0.999
 
 
+@pytest.mark.parametrize(
+    "y", [True, 1.0, np.float64(1.0), -1, 2], ids=["bool", "float", "np-float64", "negative", "past-last"]
+)
+def test_sample_class_points_refuses_a_class_that_is_not_an_integer_class(y):
+    # unchecked, a bool would index class 1 and a float would not index the classes at all
+    with pytest.raises(ValueError, match="y must be an integer class in"):
+        sample_class_points(two_class_benchmark(), y, 10, np.random.default_rng(5))
+
+
 def test_correlated_density_matches_scipy():
     cov = np.array([[0.5, 0.3], [0.3, 0.4]])
     spec = make_spec([(1.0, [(1.0, [0.2, -0.1], cov)])])
