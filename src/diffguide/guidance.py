@@ -8,6 +8,10 @@ from zero deliberately biases early guidance toward zero, when the chain
 state is nearly pure noise and classifier gradients are least reliable.
 """
 
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,11 +143,11 @@ def guidance_gradient(cfg: GuidanceConfig, dn: AnalyticDenoiser, X, t, y, mean_x
 
     mean_x0 and jac are the step's posterior pass, as dn._bundle(X, t,
     cfg.needs_jacobian) returns it. "raw" differentiates the classifier at
-    X and reads neither; "x0pred" differentiates it at mean_x0 and pulls the
-    gradient back through jac, or through the 1/sqrt(ab_t) rescaling alone
-    for "stop_gradient". t may be an array of steps over a step-major stack
-    of row groups, as for dn._bundle; each group takes its own step's
-    rescaling.
+    X and reads neither, so either may be None; "x0pred" differentiates it
+    at mean_x0 and pulls the gradient back through jac, or through the
+    1/sqrt(ab_t) rescaling alone for "stop_gradient". t may be an array of
+    steps over a step-major stack of row groups, as for dn._bundle; each
+    group takes its own step's rescaling.
     """
     if cfg.path == "raw":
         return clf.input_gradient(cfg.classifier, X, y, cfg.objective)
@@ -169,6 +173,9 @@ class BatchResult:
 
 
 _CHAIN_LABEL = "chain"
+# fewest chains a forked shard runs: below it, the fork and the pickling
+# cost more than the shard's loop saves
+_MIN_SHARD = 64
 
 
 def _pregenerate_noise(chain_indices, T: int, d: int, seed: int):
@@ -196,22 +203,116 @@ def _run_chains(
     draws its noise once for all scales, and every part of a step is
     row-invariant, so a row equals the same chain run alone at its scale.
 
-    Only rows with a non-zero scale are guided: they alone go through
-    guidance_gradient and the stabilizer, whose state holds just them, and
-    take the shift. A scale-0 row is the unguided chain by construction,
-    whatever the classifier returns. The posterior pass runs once per step
-    on every row."""
+    The chains split into contiguous shards, one per allowed CPU with at
+    least _MIN_SHARD chains each. The parent forks a child for every shard
+    after the first, runs the first itself and stitches the children's rows
+    back in place; a shard whose fork fails, or whose child exits without a
+    complete result, runs in the parent, so results and exceptions are
+    those of one serial loop."""
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not np.array_equal(schedule.betas, dn.schedule.betas):
         raise ValueError("the schedule's betas differ from the denoiser's")
-    T, d = schedule.T, dn.dim
     if chain_indices is None:
         chain_indices = range(n)
     if len(chain_indices) != n:
         raise ValueError(f"{len(chain_indices)} chain indices for n = {n} chains")
     if len(set(chain_indices)) != n:
         raise ValueError("chain indices repeat a chain: each must name its own substream")
+
+    def loop(chains):
+        return _chain_loop(dn, schedule, cfg, scales, chains, seed)
+    shards = _shards(chain_indices)
+    if len(shards) == 1:
+        return loop(chain_indices)
+    children = {}  # shard number -> (pid, read end of its pipe), until reaped
+    try:
+        for k in range(1, len(shards)):
+            try:
+                children[k] = _fork_shard(loop, shards[k])
+            except OSError:
+                pass  # the parent runs this shard below
+        parts = [loop(shards[0])]
+        for k in range(1, len(shards)):
+            part = _collect_shard(children, k) if k in children else None
+            parts.append(part if part is not None else loop(shards[k]))
+    finally:
+        for pid, fd in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    S = len(scales)
+
+    def stitch(arrays):
+        blocks = [a.reshape(S, -1, *a.shape[1:]) for a in arrays]
+        return np.concatenate(blocks, axis=1).reshape(S * n, *arrays[0].shape[1:])
+    return BatchResult(*(stitch([getattr(p, f) for p in parts]) for f in ("samples", "diverged", "diverged_t")))
+
+
+def _shards(chain_indices) -> list:
+    """Contiguous, near-equal shards of the chains: one per allowed CPU, each
+    of at least _MIN_SHARD chains, and one where fork is missing."""
+    n = len(chain_indices)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    k = max(1, min(cpus, n // _MIN_SHARD)) if hasattr(os, "fork") else 1
+    return [chain_indices[n * j // k : n * (j + 1) // k] for j in range(k)]
+
+
+def _fork_shard(loop, chains) -> tuple[int, int]:
+    """Fork a child that runs loop(chains) and writes the pickled
+    BatchResult to a pipe; returns the child's pid and the pipe's read end.
+    The child leaves only through os._exit, so it never flushes the
+    parent's buffers or returns into the caller."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns from os.fork in a process with more than one
+            # thread (OpenBLAS's pool counts) after the child exists; raised
+            # as an error, the warning would lose the child's pid. OpenBLAS
+            # shuts its pool down before a fork (a pthread_atfork handler),
+            # and the child runs only numpy.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            result = loop(chains)
+            with open(w, "wb") as f:
+                pickle.dump(result, f, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _collect_shard(children, k) -> BatchResult | None:
+    """Read shard k's result and reap its child; None when the child exited
+    without a complete result. Only a child that exits 0 wrote one."""
+    pid, fd = children[k]
+    with open(fd, "rb", closefd=False) as f:
+        data = f.read()
+    _, status = os.waitpid(pid, 0)
+    del children[k]
+    os.close(fd)
+    return pickle.loads(data) if status == 0 else None
+
+
+def _chain_loop(dn: AnalyticDenoiser, schedule: Schedule, cfg: GuidanceConfig | None, scales, chain_indices, seed):
+    """One shard's chains at every scale, scale-major, in one process.
+
+    Only rows with a non-zero scale are guided: they alone go through
+    guidance_gradient and the stabilizer, whose state holds just them, and
+    take the shift. A scale-0 row is the unguided chain by construction,
+    whatever the classifier returns. The posterior pass runs once per step
+    on every row."""
+    T, d = schedule.T, dn.dim
     starts, zs = _pregenerate_noise(chain_indices, T, d, seed)
     n, S = len(starts), len(scales)
     x = np.tile(starts, (S, 1))
@@ -233,9 +334,10 @@ def _run_chains(
             # step's noise prediction
             mean_x0, jac = dn._bundle(x, t, with_jacobian=cfg is not None and cfg.needs_jacobian)
             if cfg is not None:
-                g = guidance_gradient(
-                    cfg, dn, gather(x), t, cfg.target_class, gather(mean_x0), None if jac is None else gather(jac)
-                )
+                # the raw path reads neither mean_x0 nor jac, so gathers neither
+                guided_x0 = None if cfg.path == "raw" else gather(mean_x0)
+                guided_jac = None if jac is None else gather(jac)
+                g = guidance_gradient(cfg, dn, gather(x), t, cfg.target_class, guided_x0, guided_jac)
                 state, nu = stabilize(state, cfg.stabilizer, g)
                 shift = scale * schedule.sigma_sq[t] * nu
             eps_hat = (x - schedule.sqrt_alpha_bar[t] * mean_x0) / schedule.sqrt_one_minus_alpha_bar[t]

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,14 @@ def small_denoiser(spec2, small_schedule):
 
 def binomial_3sigma(p: float, n: int) -> float:
     return 3.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, running or exited."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped ({f'pid {pid}, exited' if pid else 'still running'})")

@@ -1,9 +1,13 @@
+import errno
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import diffguide as dg
+from diffguide import cli
 from diffguide.guidance import (
     GuidanceConfig,
     StabilizerConfig,
@@ -21,6 +25,7 @@ from diffguide.rng import substream
 from diffguide.schedule import schedule_from_betas
 
 from reference import chain_noise, guided_chain, guided_gradient, reverse_step
+from test_classifier import _spec3
 
 
 # -- stabilizers --------------------------------------------------------------
@@ -462,3 +467,140 @@ def test_batch_refuses_a_schedule_other_than_the_denoisers(small_denoiser, small
     again = dg.linear_schedule(small_schedule.T, 1e-4, 0.05)
     expected = sample_batch(small_denoiser, small_schedule, cfg, 3, 1).samples
     assert sample_batch(small_denoiser, again, cfg, 3, 1).samples.tobytes() == expected.tobytes()
+
+
+# -- chains sharded across processes ------------------------------------------
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Force the chain loop's shard count: k allowed CPUs, one chain per shard at least."""
+
+    def force(k):
+        monkeypatch.setattr(dg.guidance, "_MIN_SHARD", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    return force
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The shards handed to a child, recorded as each one forks."""
+    counted = []
+    fork_shard = dg.guidance._fork_shard
+
+    def counting(loop, chains):
+        counted.append(chains)
+        return fork_shard(loop, chains)
+
+    monkeypatch.setattr(dg.guidance, "_fork_shard", counting)
+    return counted
+
+
+def _same_rows(got, want):
+    return (
+        np.array_equal(got.samples, want.samples, equal_nan=True)
+        and np.array_equal(got.diverged, want.diverged)
+        and np.array_equal(got.diverged_t, want.diverged_t)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("path", ["raw", "x0pred", None], ids=["raw", "x0pred", "unguided"])
+@pytest.mark.parametrize("order", [range(31), range(30, -1, -1)], ids=["in-order", "reversed"])
+def test_sharded_chains_equal_the_serial_loop_bitwise(
+    small_denoiser, small_schedule, h_nonrobust, cpus, forks, k, path, order
+):
+    # 31 chains split 10, 10, 11 over three shards; scale 0 sits between guided rows
+    cfg = path and GuidanceConfig(classifier=h_nonrobust, target_class=1, path=path, stabilizer=ema(0.9))
+    scales = [1.0, 0.0, 5.0]
+    serial = dg.guidance._chain_loop(small_denoiser, small_schedule, cfg, scales, order, 12)
+    cpus(k)
+    sharded = dg.guidance._run_chains(small_denoiser, small_schedule, cfg, scales, 31, 12, chain_indices=order)
+    assert [len(shard) for shard in forks] == {1: [], 2: [16], 3: [10, 11]}[k]
+    assert _same_rows(sharded, serial)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sharded_diverging_chains_equal_the_serial_loop(small_schedule, cpus, forks, k):
+    # the 3-D full-covariance oracle on the raw path: at scale 1300 some chains overflow
+    spec = _spec3()
+    dn = dg.AnalyticDenoiser(spec, small_schedule)
+    cfg = GuidanceConfig(classifier=dg.bayes_oracle(spec), target_class=1, path="raw")
+    scales = [0.0, 5.0, 1300.0]
+    serial = dg.guidance._chain_loop(dn, small_schedule, cfg, scales, range(50), 3)
+    assert 0 < serial.n_diverged < 50
+    cpus(k)
+    assert _same_rows(dg.guidance._run_chains(dn, small_schedule, cfg, scales, 50, 3), serial)
+    assert len(forks) == k - 1
+
+
+def test_a_failed_fork_runs_the_shard_in_the_parent(small_denoiser, small_schedule, h_nonrobust, cpus, monkeypatch):
+    cfg = GuidanceConfig(classifier=h_nonrobust, target_class=1, path="x0pred", stabilizer=ema(0.9))
+    serial = dg.guidance._chain_loop(small_denoiser, small_schedule, cfg, [0.0, 2.0], range(9), 4)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cpus(3)
+    assert _same_rows(dg.guidance._run_chains(small_denoiser, small_schedule, cfg, [0.0, 2.0], 9, 4), serial)
+
+
+def test_a_child_that_exits_without_a_result_is_rerun_in_the_parent(
+    small_denoiser, small_schedule, h_nonrobust, cpus, forks, monkeypatch
+):
+    cfg = GuidanceConfig(classifier=h_nonrobust, target_class=1, path="x0pred", stabilizer=ema(0.9))
+    loop = dg.guidance._chain_loop
+    serial = loop(small_denoiser, small_schedule, cfg, [0.0, 2.0], range(9), 4)
+    parent = os.getpid()
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return loop(*args)
+
+    monkeypatch.setattr(dg.guidance, "_chain_loop", dies_in_a_child)
+    cpus(3)
+    assert _same_rows(dg.guidance._run_chains(small_denoiser, small_schedule, cfg, [0.0, 2.0], 9, 4), serial)
+    assert len(forks) == 2
+
+
+def _fails_on_shard(monkeypatch, chain, error):
+    """Make the shard that runs `chain` raise error, in whichever process runs it."""
+    loop = dg.guidance._chain_loop
+
+    def failing(dn, schedule, cfg, scales, chain_indices, seed):
+        if chain in chain_indices:
+            raise error
+        return loop(dn, schedule, cfg, scales, chain_indices, seed)
+
+    monkeypatch.setattr(dg.guidance, "_chain_loop", failing)
+
+
+@pytest.mark.parametrize("chain", [0, 8], ids=["parent-shard", "child-shard"])
+def test_an_error_in_a_shard_reaches_the_caller(small_denoiser, small_schedule, h_oracle, cpus, forks, monkeypatch, chain):
+    cfg = GuidanceConfig(classifier=h_oracle, target_class=1, scale=2.0)
+    _fails_on_shard(monkeypatch, chain, ValueError("shard refused"))
+    cpus(3)
+    with pytest.raises(ValueError, match="shard refused"):
+        sample_batch(small_denoiser, small_schedule, cfg, 9, 4)
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("chain", [0, 29], ids=["parent-shard", "child-shard"])
+def test_cli_exits_1_with_one_line_when_a_shard_runs_out_of_memory(tmp_path, capsys, cpus, forks, monkeypatch, chain):
+    config = {
+        "seed": 7,
+        "schedule": {"T": 12},
+        "guidance": {"classifier": "bayes_oracle", "path": "raw"},
+        "sample": {"n": 30},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    _fails_on_shard(monkeypatch, chain, MemoryError("Unable to allocate 8.0 EiB"))
+    cpus(2)
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "run"), "sample"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: out of memory: Unable to allocate 8.0 EiB\n"
+    assert len(forks) == 1
