@@ -8,8 +8,8 @@ from zero deliberately biases early guidance toward zero, when the chain
 state is nearly pure noise and classifier gradients are least reliable.
 """
 
+import mmap
 import os
-import pickle
 import signal
 import warnings
 from dataclasses import dataclass, field
@@ -47,8 +47,8 @@ class StabilizerConfig:
         if self.kind == "adam":
             if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
                 raise ValueError("adam betas must lie in [0, 1)")
-            if not self.eps > 0.0:
-                raise ValueError("adam eps must be > 0")
+            if not (np.isfinite(self.eps) and self.eps > 0.0):
+                raise ValueError("adam eps must be finite and > 0")
 
     @property
     def label(self) -> str:
@@ -161,8 +161,11 @@ def guidance_gradient(cfg: GuidanceConfig, dn: AnalyticDenoiser, X, t, y, mean_x
 @dataclass
 class BatchResult:
     samples: np.ndarray  # (n, d); rows of diverged chains are NaN
-    diverged: np.ndarray  # (n,) bool
     diverged_t: np.ndarray  # (n,) step of divergence, -1 for healthy chains
+
+    @property
+    def diverged(self) -> np.ndarray:
+        return self.diverged_t >= 0
 
     @property
     def n_diverged(self) -> int:
@@ -173,8 +176,8 @@ class BatchResult:
 
 
 _CHAIN_LABEL = "chain"
-# fewest chains a forked shard runs: below it, the fork and the pickling
-# cost more than the shard's loop saves
+# fewest chains a forked shard runs: below it, the fork costs more than the
+# shard's loop saves
 _MIN_SHARD = 64
 
 
@@ -204,11 +207,12 @@ def _run_chains(
     row-invariant, so a row equals the same chain run alone at its scale.
 
     The chains split into contiguous shards, one per allowed CPU with at
-    least _MIN_SHARD chains each. The parent forks a child for every shard
-    after the first, runs the first itself and stitches the children's rows
-    back in place; a shard whose fork fails, or whose child exits without a
-    complete result, runs in the parent, so results and exceptions are
-    those of one serial loop."""
+    least _MIN_SHARD chains each. Every shard writes its rows into its own
+    columns of one result buffer, an anonymous mapping that forked children
+    share. The parent forks a child for every shard after the first and
+    runs the first itself; a shard whose fork fails, or whose child exits
+    non-zero, reruns in the parent over whatever the child wrote, so results
+    and exceptions are those of one serial loop."""
     if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not np.array_equal(schedule.betas, dn.schedule.betas):
@@ -220,33 +224,36 @@ def _run_chains(
     if len(set(chain_indices)) != n:
         raise ValueError("chain indices repeat a chain: each must name its own substream")
 
-    def loop(chains):
-        return _chain_loop(dn, schedule, cfg, scales, chains, seed)
     shards = _shards(chain_indices)
-    if len(shards) == 1:
-        return loop(chain_indices)
-    children = {}  # shard number -> (pid, read end of its pipe), until reaped
+    ends = np.cumsum([0] + [len(shard) for shard in shards])
+    S, d = len(scales), dn.dim
+    buf = mmap.mmap(-1, S * n * (d + 1) * 8)
+    samples = np.frombuffer(buf, dtype=np.float64, count=S * n * d).reshape(S, n, d)
+    diverged_t = np.frombuffer(buf, dtype=np.int64, offset=S * n * d * 8).reshape(S, n)
+
+    def run(k):
+        part = _chain_loop(dn, schedule, cfg, scales, shards[k], seed)
+        samples[:, ends[k] : ends[k + 1]] = part.samples.reshape(S, -1, d)
+        diverged_t[:, ends[k] : ends[k + 1]] = part.diverged_t.reshape(S, -1)
+    children = {}  # shard number -> pid, until reaped
     try:
         for k in range(1, len(shards)):
             try:
-                children[k] = _fork_shard(loop, shards[k])
+                children[k] = _fork_shard(run, k)
             except OSError:
                 pass  # the parent runs this shard below
-        parts = [loop(shards[0])]
+        run(0)
         for k in range(1, len(shards)):
-            part = _collect_shard(children, k) if k in children else None
-            parts.append(part if part is not None else loop(shards[k]))
+            # only a child that exits 0 wrote all of its rows
+            complete = k in children and os.waitpid(children[k], 0)[1] == 0
+            children.pop(k, None)
+            if not complete:
+                run(k)
     finally:
-        for pid, fd in children.values():
+        for pid in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(fd)
-    S = len(scales)
-
-    def stitch(arrays):
-        blocks = [a.reshape(S, -1, *a.shape[1:]) for a in arrays]
-        return np.concatenate(blocks, axis=1).reshape(S * n, *arrays[0].shape[1:])
-    return BatchResult(*(stitch([getattr(p, f) for p in parts]) for f in ("samples", "diverged", "diverged_t")))
+    return BatchResult(samples.reshape(S * n, d).copy(), diverged_t.reshape(S * n).copy())
 
 
 def _shards(chain_indices) -> list:
@@ -259,49 +266,26 @@ def _shards(chain_indices) -> list:
     return [chain_indices[n * j // k : n * (j + 1) // k] for j in range(k)]
 
 
-def _fork_shard(loop, chains) -> tuple[int, int]:
-    """Fork a child that runs loop(chains) and writes the pickled
-    BatchResult to a pipe; returns the child's pid and the pipe's read end.
-    The child leaves only through os._exit, so it never flushes the
-    parent's buffers or returns into the caller."""
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns from os.fork in a process with more than one
-            # thread (OpenBLAS's pool counts) after the child exists; raised
-            # as an error, the warning would lose the child's pid. OpenBLAS
-            # shuts its pool down before a fork (a pthread_atfork handler),
-            # and the child runs only numpy.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
+def _fork_shard(run, k) -> int:
+    """Fork a child that runs run(k) and exits 0 once it returns; returns the
+    child's pid. The child leaves only through os._exit, so it never flushes
+    the parent's buffers or returns into the caller."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns from os.fork in a process with more than one
+        # thread (OpenBLAS's pool counts) after the child exists; raised as
+        # an error, the warning would lose the child's pid. OpenBLAS shuts
+        # its pool down before a fork (a pthread_atfork handler), and the
+        # child runs only numpy.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.close(r)
-            result = loop(chains)
-            with open(w, "wb") as f:
-                pickle.dump(result, f, pickle.HIGHEST_PROTOCOL)
+            run(k)
             status = 0
         finally:
             os._exit(status)
-    os.close(w)
-    return pid, r
-
-
-def _collect_shard(children, k) -> BatchResult | None:
-    """Read shard k's result and reap its child; None when the child exited
-    without a complete result. Only a child that exits 0 wrote one."""
-    pid, fd = children[k]
-    with open(fd, "rb", closefd=False) as f:
-        data = f.read()
-    _, status = os.waitpid(pid, 0)
-    del children[k]
-    os.close(fd)
-    return pickle.loads(data) if status == 0 else None
+    return pid
 
 
 def _chain_loop(dn: AnalyticDenoiser, schedule: Schedule, cfg: GuidanceConfig | None, scales, chain_indices, seed):
@@ -317,7 +301,6 @@ def _chain_loop(dn: AnalyticDenoiser, schedule: Schedule, cfg: GuidanceConfig | 
     n, S = len(starts), len(scales)
     x = np.tile(starts, (S, 1))
     diverged_t = np.full(S * n, -1, dtype=np.int64)
-    active = np.ones(S * n, dtype=bool)
     # guided scales; their rows are gathered by n-row blocks, cheaper than row by row
     guided = np.flatnonzero(scales) if cfg is not None else []
     if len(guided) == 0:
@@ -350,13 +333,12 @@ def _chain_loop(dn: AnalyticDenoiser, schedule: Schedule, cfg: GuidanceConfig | 
             # one finite pass per step; the per-row check runs only once it finds a non-finite value
             finite = np.isfinite(x_next)
             if not finite.all():
-                bad = active & ~finite.all(axis=1)
+                bad = (diverged_t < 0) & ~finite.all(axis=1)
                 if bad.any():
                     diverged_t[bad] = t
-                    active[bad] = False
-                    x_next[~active] = np.nan
+                    x_next[diverged_t >= 0] = np.nan
             x = x_next
-    return BatchResult(x, ~active, diverged_t)
+    return BatchResult(x, diverged_t)
 
 
 def sample_batch(

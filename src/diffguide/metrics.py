@@ -107,6 +107,8 @@ def evaluate(
     overflow quietly: a row with no finite oracle logit counts as a miss,
     and an overflowed covariance gives an infinite fd.
     """
+    if n_diverged < 0:
+        raise ValueError(f"n_diverged must be >= 0, got {n_diverged!r}")
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2 or (len(X) == 0 and n_diverged == 0):
         raise EmptyBatchError("no samples to evaluate")

@@ -79,6 +79,8 @@ def init_mlp(layer_sizes: list[int], activation: str = "tanh", seed: int = 0) ->
     """Symmetric uniform init scaled by 1/sqrt(fan_in); deterministic in seed."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
+    if min(layer_sizes) < 1:
+        raise ValueError(f"layer_sizes must all be >= 1, got {list(layer_sizes)}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -263,10 +265,12 @@ def train(
     X = np.asarray(points, dtype=np.float64)
     check_class(labels, model.n_classes, "label")
     ys = np.asarray(labels, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise ValueError(f"points of shape {X.shape}: expected (n, {model.input_dim})")
     if len(X) != len(ys):
         raise ValueError("points and labels disagree in length")
-    if X.shape[1] != model.input_dim:
-        raise ValueError("data dimension does not match the model")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
     for name, val, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
         if not (type(val) is int or isinstance(val, np.integer)) or val < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {val!r}")

@@ -580,6 +580,23 @@ def test_a_stabilizer_field_its_kind_does_not_read_fails_closed(tmp_path, capsys
     assert not list(out.glob("sensitivity_*"))
 
 
+@pytest.mark.parametrize("eps", [np.inf, -np.inf, np.nan, 0.0], ids=["inf", "-inf", "nan", "zero"])
+@pytest.mark.parametrize("where", ["config.guidance.stabilizer", "--stabilizer"])
+def test_an_adam_eps_that_is_not_finite_and_positive_fails_closed(tmp_path, capsys, where, eps):
+    # json reads Infinity, and eps = Infinity turned guidance off: the run exited 0 with scale-0 metrics
+    stabilizer = {"kind": "adam", "eps": eps}
+    if where == "--stabilizer":
+        guidance, argv = {}, ["--metric", "stabilized_gradient", f"--stabilizer={json.dumps(stabilizer)}"]
+    else:
+        guidance, argv = {"stabilizer": stabilizer}, ["--metric", "gradient"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, "guidance": {"classifier": "bayes_oracle", **guidance}}))
+    out = tmp_path / "run"
+    assert _run("--config", str(path), "--out", str(out), "sensitivity", *argv) == EXIT_CONFIG
+    assert "adam eps must be finite and > 0" in _one_config_error(capsys)
+    assert not list(out.glob("sensitivity_*"))
+
+
 def _far_mixture(dist):
     comps = [[{"weight": 1.0, "mean": [dist, 0.0], "cov": 0.1}], [{"weight": 1.0, "mean": [dist, 1.0], "cov": 0.1}]]
     return {"data": {"classes": [{"prior": 0.5, "components": c} for c in comps]}}

@@ -58,6 +58,13 @@ def test_adam_first_step_closed_form():
     assert nu[0] == pytest.approx(3.1623, abs=1e-4)
 
 
+@pytest.mark.parametrize("eps", [np.inf, np.nan, 0.0, -1e-8])
+def test_adam_refuses_an_eps_that_is_not_finite_and_positive(eps):
+    # eps = inf divided every update to zero: guidance off
+    with pytest.raises(ValueError, match="adam eps must be finite and > 0"):
+        adam(eps=eps)
+
+
 def test_adam_fixed_point_is_sign():
     cfg = adam()
     for g_val in (2.0, -0.3):
@@ -486,13 +493,18 @@ def cpus(monkeypatch):
 @pytest.fixture()
 def forks(monkeypatch):
     """The shards handed to a child, recorded as each one forks."""
-    counted = []
-    fork_shard = dg.guidance._fork_shard
+    counted, made = [], []
+    shards, fork_shard = dg.guidance._shards, dg.guidance._fork_shard
 
-    def counting(loop, chains):
-        counted.append(chains)
-        return fork_shard(loop, chains)
+    def sharding(chain_indices):
+        made[:] = shards(chain_indices)
+        return made
 
+    def counting(run, k):
+        counted.append(made[k])
+        return fork_shard(run, k)
+
+    monkeypatch.setattr(dg.guidance, "_shards", sharding)
     monkeypatch.setattr(dg.guidance, "_fork_shard", counting)
     return counted
 
@@ -564,6 +576,36 @@ def test_a_child_that_exits_without_a_result_is_rerun_in_the_parent(
     cpus(3)
     assert _same_rows(dg.guidance._run_chains(small_denoiser, small_schedule, cfg, [0.0, 2.0], 9, 4), serial)
     assert len(forks) == 2
+
+
+class _Garbage:
+    """A shard result whose samples are garbage and whose diverged_t raises."""
+
+    def __init__(self, shape):
+        self.samples = np.full(shape, 7.0)
+
+    @property
+    def diverged_t(self):
+        raise MemoryError("killed mid-write")
+
+
+def test_a_child_that_wrote_part_of_its_rows_is_rerun_over_them(
+    small_denoiser, small_schedule, h_nonrobust, cpus, forks, monkeypatch
+):
+    cfg = GuidanceConfig(classifier=h_nonrobust, target_class=1, path="x0pred", stabilizer=ema(0.9))
+    loop = dg.guidance._chain_loop
+    serial = loop(small_denoiser, small_schedule, cfg, [0.0, 2.0], range(9), 4)
+    parent = os.getpid()
+
+    def writes_garbage_in_a_child(dn, schedule, cfg, scales, chain_indices, seed):
+        if os.getpid() != parent:
+            return _Garbage((len(scales) * len(chain_indices), dn.dim))
+        return loop(dn, schedule, cfg, scales, chain_indices, seed)
+
+    monkeypatch.setattr(dg.guidance, "_chain_loop", writes_garbage_in_a_child)
+    cpus(3)
+    assert _same_rows(dg.guidance._run_chains(small_denoiser, small_schedule, cfg, [0.0, 2.0], 9, 4), serial)
+    assert [len(shard) for shard in forks] == [3, 3]
 
 
 def _fails_on_shard(monkeypatch, chain, error):

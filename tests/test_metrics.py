@@ -113,6 +113,12 @@ def test_evaluate_refuses_samples_of_another_dimension(spec2, h_oracle):
         evaluate(np.zeros((50, 3)), spec2, 1, h_oracle, seed=11)
 
 
+def test_evaluate_refuses_a_negative_diverged_count(spec2, h_oracle):
+    # -1 was written into the report
+    with pytest.raises(ValueError, match=r"n_diverged must be >= 0, got -1"):
+        evaluate(np.zeros((5, 2)), spec2, 1, h_oracle, seed=0, n_diverged=-1)
+
+
 def test_evaluate_deterministic(spec2, h_oracle):
     samples = sample_dataset(spec2, 500, 29).points
     a = evaluate(samples, spec2, 0, h_oracle, seed=3)

@@ -285,6 +285,31 @@ def test_train_refuses_bad_epochs_and_batch_size(kw, message):
         train(init_mlp([2, 8, 2], seed=3), np.zeros((4, 2)), [0, 1, 0, 1], **kw)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [np.zeros(4), np.zeros((4, 2, 1)), np.zeros((4, 3))],
+    ids=["1-d", "3-d", "wrong-dim"],
+)
+def test_train_refuses_points_that_are_not_rows_of_the_input_dim(points):
+    # 1-D points raised an IndexError and (4, 2, 1) a matmul error
+    with pytest.raises(ValueError, match=r"points of shape .*: expected \(n, 2\)"):
+        train(init_mlp([2, 8, 2], seed=3), points, [0, 1, 0, 1], epochs=1)
+
+
+@pytest.mark.parametrize("lr", [-1.0, 0.0, float("nan"), float("inf")])
+def test_train_refuses_a_learning_rate_that_is_not_finite_and_positive(lr):
+    # lr=-1.0 trained by gradient ascent and returned the model
+    with pytest.raises(ValueError, match=r"lr must be finite and > 0"):
+        train(init_mlp([2, 8, 2], seed=3), np.zeros((4, 2)), [0, 1, 0, 1], epochs=1, lr=lr)
+
+
+@pytest.mark.parametrize("sizes", [[2, 0, 2], [2, 8, -1], [0, 2]])
+def test_init_mlp_refuses_a_layer_below_one_unit(sizes):
+    # [2, 0, 2] warned of a division by zero, then raised an OverflowError
+    with pytest.raises(ValueError, match=r"layer_sizes must all be >= 1"):
+        init_mlp(sizes)
+
+
 def test_zero_beta_schedule_equals_clean_mode(train_ds):
     sch0 = schedule_from_betas(np.zeros(20), allow_degenerate=True)
     m = init_mlp([2, 8, 2], seed=3)
