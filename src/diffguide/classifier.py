@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .synthdata import GmmSpec, _ordered_sum, as_batch, check_class
+from .synthdata import GmmSpec, _ordered_sum, check_class
 
 _KINDS = ("non_robust", "robust", "bayes_oracle")
 _CLEAN_ROW = np.zeros(1, dtype=np.intp)  # the one row of GmmSpec.clean_tables
@@ -51,26 +51,24 @@ def bayes_oracle(spec: GmmSpec) -> ClassifierHandle:
 
 
 def predict_logits(h: ClassifierHandle, x) -> np.ndarray:
-    """Class logits at x; oracle logits are log(prior * class density)."""
+    """Class logits (n, C) at points x (n, d); oracle logits are log(prior * class density)."""
     if h.kind != "bayes_oracle":
         return nn.forward(h.model, x)
-    X, single = as_batch(x)
     with np.errstate(over="ignore", invalid="ignore"):  # far points: see _oracle_pass
-        logits = np.ascontiguousarray(_oracle_pass(h, X)[0].T)
-    return logits[0] if single else logits
+        return np.ascontiguousarray(_oracle_pass(h, np.asarray(x, dtype=np.float64))[0].T)
 
 
 def input_gradient(h: ClassifierHandle, x, y, objective: str = "log_softmax") -> np.ndarray:
-    """Gradient of the class-y objective w.r.t. the input, for any persona.
-    y is one class for every row or an array of one class per row."""
+    """Gradient (n, d) of the class-y objective at points x (n, d), for any
+    persona; y is one class for every row or an array of one class per row."""
     if h.kind != "bayes_oracle":
         return nn.input_gradient(h.model, x, y, objective)
     if objective not in nn._OBJECTIVES:
         raise ValueError(f"objective must be one of {nn._OBJECTIVES}")
-    X, single = as_batch(x)
-    check_class(y, h.n_classes, rows=len(X))
+    X = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # far points: see _oracle_pass
         logits, grads, some_gone = _oracle_pass(h, X)  # (C, n), (C, d, n)
+        check_class(y, h.n_classes, rows=len(X))
         # gradient of the class-y logit (d, n): one class's row of the pass,
         # or a gather of each row's own class
         g = grads[int(y)] if np.ndim(y) == 0 else grads[np.asarray(y, dtype=np.int64), :, np.arange(len(X))].T
@@ -81,8 +79,7 @@ def input_gradient(h: ClassifierHandle, x, y, objective: str = "log_softmax") ->
             g = g - _ordered_sum(p[:, None] * grads, axis=0)
             if some_gone:
                 g[:, peak == -np.inf] = 0.0  # no finite class logit: -inf - -inf gave NaN above
-        out = np.ascontiguousarray(g.T)  # a new (n, d) array on either objective
-    return out[0] if single else out
+        return np.ascontiguousarray(g.T)  # a new (n, d) array on either objective
 
 
 def _oracle_pass(h: ClassifierHandle, X: np.ndarray):

@@ -436,7 +436,6 @@ def cmd_sweep(cfg: dict, chash: str, out: Path, args) -> int:
         cfg["sweep"]["scales"],
         cfg["sweep"]["n_per_scale"],
         _seed(cfg, "sweep-chains"),
-        config_hash=chash,
     )
     label = f"{cfg['guidance']['classifier']}_{gcfg.path}_{_file_tag(gcfg.stabilizer)}"
     csv_path = out / f"sweep_{label}.csv"

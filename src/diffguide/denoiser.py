@@ -20,14 +20,14 @@ information enters sampling only through the guiding classifier.
 import numpy as np
 
 from .schedule import Schedule
-from .synthdata import ComponentTables, GmmSpec, _contract, _ordered_sum, _sum_of_products, as_batch
+from .synthdata import ComponentTables, GmmSpec, _contract, _ordered_sum, _sum_of_products
 
 
 class AnalyticDenoiser:
     """Closed-form posterior-mean denoiser for a pooled Gaussian mixture.
 
-    Immutable after construction; all methods are pure and accept a single
-    point (d,) or a batch (n, d).
+    Immutable after construction; all methods are pure and take a batch of
+    points (n, d): a single point is a batch of one, x[None].
     """
 
     def __init__(self, spec: GmmSpec, schedule: Schedule):
@@ -87,7 +87,5 @@ class AnalyticDenoiser:
     # -- public -------------------------------------------------------------
 
     def posterior_mean_x0(self, x_t, t: int) -> np.ndarray:
-        """E[x0 | x_t] under the pooled mixture."""
-        X, single = as_batch(x_t)
-        out, _ = self._bundle(X, t)
-        return out[0] if single else out
+        """E[x0 | x_t] (n, d) under the pooled mixture, for points x_t (n, d)."""
+        return self._bundle(np.asarray(x_t, dtype=np.float64), t)[0]

@@ -19,7 +19,7 @@ import numpy as np
 from . import classifier as clf
 from . import nn
 from .denoiser import AnalyticDenoiser
-from .rng import substream
+from .rng import check_integer, substream
 from .schedule import Schedule
 from .synthdata import check_class
 
@@ -213,8 +213,7 @@ def _run_chains(
     runs the first itself; a shard whose fork fails, or whose child exits
     non-zero, reruns in the parent over whatever the child wrote, so results
     and exceptions are those of one serial loop."""
-    if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    check_integer(n, "n", 1)
     if not np.array_equal(schedule.betas, dn.schedule.betas):
         raise ValueError("the schedule's betas differ from the denoiser's")
     if chain_indices is None:

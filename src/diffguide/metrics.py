@@ -15,7 +15,7 @@ import numpy as np
 from . import classifier as clf
 from .artifacts import json_text, write_csv
 from .guidance import GuidanceConfig, _run_chains
-from .rng import substream
+from .rng import check_integer, substream
 from .synthdata import GmmSpec, sample_class_points, sample_labeled
 
 _COV_REG = 1e-10
@@ -97,7 +97,7 @@ def evaluate(
     n_diverged: int = 0,
     config_hash: str = "",
 ) -> MetricsReport:
-    """Score a batch of generated samples against fresh reference draws.
+    """Score a batch of generated samples (n, d) against fresh reference draws.
 
     Reference sets are drawn i.i.d. from the known mixture (pooled for fd,
     target class only for cfd), sized like the sample set. Deterministic in
@@ -107,10 +107,11 @@ def evaluate(
     overflow quietly: a row with no finite oracle logit counts as a miss,
     and an overflowed covariance gives an infinite fd.
     """
-    if n_diverged < 0:
-        raise ValueError(f"n_diverged must be >= 0, got {n_diverged!r}")
+    check_integer(n_diverged, "n_diverged")
     X = np.asarray(samples, dtype=np.float64)
-    if X.ndim != 2 or (len(X) == 0 and n_diverged == 0):
+    if X.ndim != 2 or X.shape[1] != spec.dim:
+        raise ValueError(f"points of shape {X.shape}: expected (n, {spec.dim})")
+    if len(X) == 0 and n_diverged == 0:
         raise EmptyBatchError("no samples to evaluate")
     n, d = X.shape
     rng = substream(seed, "evaluate-reference")
@@ -144,7 +145,6 @@ def sweep(
     scales,
     n_per_scale: int,
     seed: int,
-    config_hash: str = "",
 ) -> list[tuple[float, MetricsReport]]:
     """One sampled batch and report per guidance scale.
 
@@ -166,7 +166,7 @@ def sweep(
     return [
         (s, evaluate(
             X[~div], dn.spec, base_cfg.target_class, base_cfg.classifier,
-            seed=seed, n_diverged=int(div.sum()), config_hash=config_hash,
+            seed=seed, n_diverged=int(div.sum()),
         ))
         for s, X, div in zip(scales, samples, diverged)
     ]

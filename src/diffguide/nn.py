@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import check_integer
 from .schedule import Schedule, forward_sample
-from .synthdata import as_batch, check_class
+from .synthdata import check_class
 
 _ACTIVATIONS = ("tanh", "softplus")
 _OBJECTIVES = ("log_softmax", "logit")
@@ -77,6 +78,7 @@ class MlpModel:
 
 def init_mlp(layer_sizes: list[int], activation: str = "tanh", seed: int = 0) -> MlpModel:
     """Symmetric uniform init scaled by 1/sqrt(fan_in); deterministic in seed."""
+    check_integer(seed, "seed")
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
     if min(layer_sizes) < 1:
@@ -127,26 +129,35 @@ def _derivative_in_place(model: MlpModel, pre, acts, i: int) -> np.ndarray:
     return g
 
 
+def _points(model: MlpModel, x) -> np.ndarray:
+    """x as a float batch (n, d) of the model's input dimension, or
+    ValueError naming its shape. A single point is a batch of one, x[None]."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"points of shape {X.shape}: expected (n, {model.input_dim})")
+    if X.shape[1] != model.input_dim:
+        raise ValueError(f"input dim {X.shape[1]} != model dim {model.input_dim}")
+    return X
+
+
 def _block_passes(model: MlpModel, X: np.ndarray):
     """Yield (rows, pre, acts) per chunk of _CHUNK blocks: the chunk's rows
     of X (n, d) zero-padded to whole _BLOCK-row blocks, and its cached pass.
     Every product sees exactly _BLOCK rows, so a row's logits and gradients
     do not depend on the batch (BLAS results depend on the row count)."""
     n, d = X.shape
-    if d != model.input_dim:
-        raise ValueError(f"input dim {d} != model dim {model.input_dim}")
     blocks = np.concatenate([X, np.zeros((-n % _BLOCK, d))]).reshape(-1, _BLOCK, d)
     for lo in range(0, len(blocks), _CHUNK):
         yield slice(lo * _BLOCK, (lo + _CHUNK) * _BLOCK), *_forward_cached(model, blocks[lo : lo + _CHUNK], model.bias_blocks)
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
-    """Logits for a single point (d,) or a batch (n, d)."""
-    X, single = as_batch(x)
+    """Logits (n, C) for a batch of points (n, d)."""
+    X = _points(model, x)
     logits = np.empty((len(X) + (-len(X) % _BLOCK), model.n_classes))
     for rows, _, acts in _block_passes(model, X):
         logits[rows] = acts[-1].reshape(-1, model.n_classes)
-    return logits[0] if single else logits[: len(X)]
+    return logits[: len(X)]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -164,11 +175,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return _log_softmax(logits).T.reshape(logits.shape)
 
 
-def log_softmax_target(logits, y) -> np.ndarray | float:
-    """log p(y) under the softmax of the logits, max-shifted for stability."""
+def log_softmax_target(logits, y) -> np.ndarray:
+    """log p(y) (n,) under the softmax of logits (n, C), max-shifted for stability."""
     ls = log_softmax(logits)
-    if ls.ndim == 1:
-        return float(ls[y])
+    if ls.ndim != 2:
+        raise ValueError(f"logits of shape {ls.shape}: expected (n, C)")
     return np.take_along_axis(ls, np.asarray(y).reshape(-1, 1), axis=1)[:, 0]
 
 
@@ -176,7 +187,7 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     """Gradient of the target-class objective with respect to the input.
 
     objective "log_softmax" differentiates log p(y | x); "logit" differentiates
-    the raw class-y logit. y is scalar or per-row for batched x.
+    the raw class-y logit. x is (n, d), and y one class or one per row.
 
     Backprop runs over _block_passes' chunks in place: a hidden layer's
     product buffer takes its bias, its activation, then its derivative. The
@@ -184,7 +195,7 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
-    X, single = as_batch(x)
+    X = _points(model, x)
     check_class(y, model.n_classes, rows=len(X))
     n, d = X.shape
     padded = n + (-n % _BLOCK)
@@ -202,7 +213,7 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
             delta = np.matmul(delta, weights_t[i])
             delta *= _derivative_in_place(model, pre, acts, i)
         np.matmul(delta, weights_t[0], out=grad[rows].reshape(-1, _BLOCK, d))
-    return grad[0] if single else grad[:n]
+    return grad[:n]
 
 
 def _parameter_gradients(model: MlpModel, X: np.ndarray, ys: np.ndarray, dWs, dbs) -> float:
@@ -271,9 +282,9 @@ def train(
         raise ValueError("points and labels disagree in length")
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and > 0, got {lr!r}")
-    for name, val, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
-        if not (type(val) is int or isinstance(val, np.integer)) or val < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {val!r}")
+    check_integer(epochs, "epochs")
+    check_integer(batch_size, "batch_size", 1)
+    check_integer(seed, "seed")
 
     shuffle_rng, noise_rng = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)

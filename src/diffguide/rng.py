@@ -10,13 +10,18 @@ import zlib
 import numpy as np
 
 
+def check_integer(val, name: str, low: int = 0) -> None:
+    """Raise ValueError unless val is a Python or numpy integer >= low; int()
+    would truncate a float or read a bool as 0 or 1 and run another seed."""
+    if not (type(val) is int or isinstance(val, np.integer)) or val < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {val!r}")
+
+
 def substream_seed(master_seed: int, label: str, index: int = 0) -> np.random.SeedSequence:
-    """The SeedSequence of (master_seed, label, index). A seed or index that
-    is not an integer, or is a bool, raises ValueError: int() would truncate
-    it onto another stream."""
-    for name, val in (("seed", master_seed), ("index", index)):
-        if not (type(val) is int or isinstance(val, np.integer)):
-            raise ValueError(f"substream {name} must be an integer, got {val!r}")
+    """The SeedSequence of (master_seed, label, index); a seed or index that
+    is not an integer >= 0 raises ValueError."""
+    check_integer(master_seed, "substream seed")
+    check_integer(index, "substream index")
     return np.random.SeedSequence([int(master_seed), zlib.crc32(label.encode()), int(index)])
 
 

@@ -29,6 +29,7 @@ from .artifacts import write_csv
 from .classifier import predict_logits
 from .denoiser import AnalyticDenoiser
 from .guidance import GuidanceConfig, guidance_gradient, init_stabilizer_state, stabilize
+from .rng import check_integer
 from .schedule import forward_sample
 from .synthdata import check_class
 
@@ -75,6 +76,7 @@ def curve(
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}")
+    check_integer(seed, "seed")
     h, path, stabilizer = recipe.classifier, recipe.path, recipe.stabilizer
     schedule = dn.schedule
     X0 = np.asarray(points, dtype=np.float64)

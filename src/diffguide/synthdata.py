@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
+from .rng import check_integer
 
 _PROB_TOL = 1e-12
 
@@ -148,9 +149,10 @@ def three_class_benchmark() -> GmmSpec:
 
 
 def sample_dataset(spec: GmmSpec, n: int, seed: int) -> LabeledDataset:
-    """Draw n labeled points; deterministic in seed."""
+    """Draw n labeled points; deterministic in seed, an integer >= 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    check_integer(seed, "seed")
     points, labels = sample_labeled(spec, n, np.random.default_rng(seed))
     points.setflags(write=False)
     labels.setflags(write=False)
@@ -200,12 +202,6 @@ def pooled_components(spec: GmmSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 _EIG_FLOOR = 1e-12
-
-
-def as_batch(x) -> tuple[np.ndarray, bool]:
-    """x as an (n, d) float batch, and whether it was a single point (d,)."""
-    x = np.asarray(x, dtype=np.float64)
-    return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
 def check_class(y, n_classes: int, name: str = "y", rows: int | None = None) -> None:

@@ -25,10 +25,16 @@ from diffguide.guidance import GuidanceConfig, guidance_gradient, init_stabilize
 from diffguide.nn import MlpModel
 from diffguide.rng import substream
 from diffguide.schedule import Schedule, forward_sample
-from diffguide.synthdata import GmmSpec, LabeledDataset, as_batch, check_class
+from diffguide.synthdata import GmmSpec, LabeledDataset, check_class
 
 
 # -- pipeline conveniences -----------------------------------------------------
+
+
+def _as_batch(x) -> tuple[np.ndarray, bool]:
+    """x as an (n, d) float batch, and whether it was a single point (d,)."""
+    x = np.asarray(x, dtype=np.float64)
+    return (x[None], True) if x.ndim == 1 else (x, False)
 
 
 def guided_gradient(
@@ -43,7 +49,7 @@ def guided_gradient(
 ) -> np.ndarray:
     """The sampler's guidance gradient at a point (d,) or batch (n, d)."""
     cfg = GuidanceConfig(h, target_class=0, path=path, jacobian_mode=jacobian_mode, objective=objective)
-    X, single = as_batch(x_t)
+    X, single = _as_batch(x_t)
     mean_x0, jac = dn._bundle(X, t, with_jacobian=cfg.needs_jacobian)
     g = guidance_gradient(cfg, dn, X, t, y, mean_x0, jac)
     return g[0] if single else g
@@ -51,7 +57,7 @@ def guided_gradient(
 
 def jacobian(dn: AnalyticDenoiser, x_t, t: int) -> np.ndarray:
     """d E[x0 | x_t] / d x_t from the posterior pass, (d, d) or (n, d, d)."""
-    X, single = as_batch(x_t)
+    X, single = _as_batch(x_t)
     _, J = dn._bundle(X, t, with_jacobian=True)
     return J[0] if single else J
 
@@ -92,7 +98,7 @@ def epsilon(dn: AnalyticDenoiser, x_t, t: int) -> np.ndarray:
     ab = alpha_bar_product(dn.schedule, t)
     if ab >= 1.0:
         raise ValueError(f"alpha_bar({t}) = 1: noise prediction undefined")
-    X, single = as_batch(x_t)
+    X, single = _as_batch(x_t)
     e = (X - np.sqrt(ab) * dn.posterior_mean_x0(X, t)) / np.sqrt(1.0 - ab)
     return e[0] if single else e
 
@@ -106,7 +112,7 @@ def x0_prediction(dn: AnalyticDenoiser, x_t, t: int) -> np.ndarray:
     ab = alpha_bar_product(dn.schedule, t)
     if ab >= 1.0:
         raise ValueError(f"alpha_bar({t}) = 1: prediction undefined")
-    X, single = as_batch(x_t)
+    X, single = _as_batch(x_t)
     sa = np.sqrt(ab)
     out = X / sa - (np.sqrt(1.0 - ab) / sa) * epsilon(dn, X, t)
     return out[0] if single else out
@@ -173,7 +179,7 @@ def logit_sensitivity(h: ClassifierHandle, x_a, x_b) -> float:
     den = float(np.linalg.norm(x_a - x_b))
     if den == 0.0:
         return float("nan")
-    num = float(np.linalg.norm(predict_logits(h, x_a) - predict_logits(h, x_b)))
+    num = float(np.linalg.norm(predict_logits(h, x_a[None]) - predict_logits(h, x_b[None])))
     return num / den
 
 

@@ -172,29 +172,29 @@ def test_gradient_correctness(denoiser, schedule400):
         t = int(rng.integers(1, schedule400.T + 1))
         y = int(rng.integers(2))
 
-        g = nn.input_gradient(model, x, y)
+        g = nn.input_gradient(model, x[None], y)[0]
         g_fd = np.zeros(2)
         for q in range(2):
             e = np.zeros(2)
             e[q] = h_fd
             g_fd[q] = (
-                nn.log_softmax_target(nn.forward(model, x + e), y)
-                - nn.log_softmax_target(nn.forward(model, x - e), y)
+                nn.log_softmax_target(nn.forward(model, (x + e)[None]), y)[0]
+                - nn.log_softmax_target(nn.forward(model, (x - e)[None]), y)[0]
             ) / (2 * h_fd)
         rel = np.linalg.norm(g - g_fd) / max(np.linalg.norm(g_fd), 1e-12)
         worst = max(worst, rel)
 
-        g2 = guided_gradient(denoiser, handle, x, t, y, path="x0pred")
+        g2 = guided_gradient(denoiser, handle, x[None], t, y, path="x0pred")[0]
         g2_fd = np.zeros(2)
         for q in range(2):
             e = np.zeros(2)
             e[q] = h_fd
             up = nn.log_softmax_target(
-                nn.forward(model, denoiser.posterior_mean_x0(x + e, t)), y
-            )
+                nn.forward(model, denoiser.posterior_mean_x0((x + e)[None], t)), y
+            )[0]
             dn_ = nn.log_softmax_target(
-                nn.forward(model, denoiser.posterior_mean_x0(x - e, t)), y
-            )
+                nn.forward(model, denoiser.posterior_mean_x0((x - e)[None], t)), y
+            )[0]
             g2_fd[q] = (up - dn_) / (2 * h_fd)
         rel2 = np.linalg.norm(g2 - g2_fd) / max(np.linalg.norm(g2_fd), 1e-12)
         worst = max(worst, rel2)
@@ -240,7 +240,7 @@ def test_analytic_denoiser_quadrature(schedule400):
             quad_kw = dict(limit=800, points=hints, epsabs=1e-280, epsrel=1e-11)
             n_val = integrate.quad(num, -14, 14, **quad_kw)[0]
             d_val = integrate.quad(den, -14, 14, **quad_kw)[0]
-            got = dn.posterior_mean_x0(np.array([x_t]), int(t))[0]
+            got = dn.posterior_mean_x0(np.array([[x_t]]), int(t))[0, 0]
             worst_quad = max(worst_quad, abs(got - n_val / d_val))
 
     rng = np.random.default_rng(9)

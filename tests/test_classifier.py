@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -22,15 +24,15 @@ def test_oracle_equal_logits_at_midpoint():
             (0.5, [(1.0, [1.0, 0.0], 0.2)]),
         ]
     )
-    logits = predict_logits(bayes_oracle(spec), np.array([0.0, 0.37]))
+    logits = predict_logits(bayes_oracle(spec), np.array([[0.0, 0.37]]))[0]
     assert logits[0] == pytest.approx(logits[1], abs=1e-12)
 
 
 def test_oracle_argmax_inside_component(spec2, h_oracle):
     deep = spec2.classes[0].components[0].mean
-    assert np.argmax(predict_logits(h_oracle, deep)) == 0
+    assert np.argmax(predict_logits(h_oracle, deep[None])[0]) == 0
     deep1 = spec2.classes[1].components[1].mean
-    assert np.argmax(predict_logits(h_oracle, deep1)) == 1
+    assert np.argmax(predict_logits(h_oracle, deep1[None])[0]) == 1
 
 
 def _spec3():
@@ -52,7 +54,7 @@ def _spec3():
 
 def _check_true_posterior(spec, x):
     # softmax of log-joint logits must reproduce prior * density / evidence
-    logits = predict_logits(bayes_oracle(spec), x)
+    logits = predict_logits(bayes_oracle(spec), x[None])[0]
     post = np.exp(log_softmax(logits))
     joint = np.array([c.prior * class_density(spec, y, x) for y, c in enumerate(spec.classes)])
     np.testing.assert_allclose(post, joint / joint.sum(), rtol=1e-12)
@@ -153,14 +155,14 @@ def _check_finite_differences(spec, objective, seed, n=20):
     d, n_classes = spec.dim, spec.n_classes
 
     def objective_at(x, y):
-        logits = predict_logits(h_oracle, x)
-        return logits[y] if objective == "logit" else log_softmax_target(logits, y)
+        logits = predict_logits(h_oracle, x[None])
+        return logits[0, y] if objective == "logit" else log_softmax_target(logits, y)[0]
 
     rng = np.random.default_rng(seed)
     for _ in range(n):
         x = rng.standard_normal(d) * 1.2
         y = int(rng.integers(n_classes))
-        g = input_gradient(h_oracle, x, y, objective)
+        g = input_gradient(h_oracle, x[None], y, objective)[0]
         h = 1e-5
         g_fd = np.zeros(d)
         for j in range(d):
@@ -354,10 +356,23 @@ def test_unknown_objective_is_refused_by_every_persona(h_oracle, h_nonrobust, pe
         input_gradient(h, np.zeros((3, 2)), 1, "nonsense")
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 2, 2)], ids=["one-point", "three-axes"])
+@pytest.mark.parametrize("persona", ["bayes_oracle", "non_robust"])
+def test_every_persona_refuses_points_that_are_not_a_batch(h_oracle, h_nonrobust, persona, shape):
+    # a single point is a batch of one, x[None]; a (2,) point was once
+    # unwrapped to a (C,) result and a 3-D array failed inside numpy
+    h = h_oracle if persona == "bayes_oracle" else h_nonrobust
+    message = rf"points of shape {re.escape(str(shape))}: expected \(n, 2\)"
+    with pytest.raises(ValueError, match=message):
+        predict_logits(h, np.zeros(shape))
+    with pytest.raises(ValueError, match=message):
+        input_gradient(h, np.zeros(shape), 0)
+
+
 def test_mlp_handle_gradient_delegates(h_nonrobust, model_nonrobust):
     from diffguide import nn
 
-    x = np.array([0.2, -0.1])
+    x = np.array([[0.2, -0.1]])
     np.testing.assert_array_equal(
         input_gradient(h_nonrobust, x, 1), nn.input_gradient(model_nonrobust, x, 1)
     )

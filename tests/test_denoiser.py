@@ -21,17 +21,17 @@ def _schedule_with_abar(ab):
 
 def test_posterior_mean_single_component_scalar():
     dn = AnalyticDenoiser(_single_gaussian_1d(), _schedule_with_abar(0.5))
-    out = dn.posterior_mean_x0(np.array([1.0]), 1)
+    out = dn.posterior_mean_x0(np.array([[1.0]]), 1)
     # conjugate-Gaussian oracle: sqrt(ab) * var / (ab * var + 1 - ab) * x_t
     want = np.sqrt(0.5) * 1.0 / (0.5 + 0.5) * 1.0
-    assert out[0] == pytest.approx(want, abs=1e-12)
-    assert out[0] == pytest.approx(0.7071068, abs=1e-7)
+    assert out[0, 0] == pytest.approx(want, abs=1e-12)
+    assert out[0, 0] == pytest.approx(0.7071068, abs=1e-7)
 
 
 def test_posterior_mean_identity_limit():
     dn = AnalyticDenoiser(_single_gaussian_1d(), _schedule_with_abar(1.0 - 1e-12))
-    x = np.array([0.73])
-    assert dn.posterior_mean_x0(x, 1)[0] == pytest.approx(0.73, abs=1e-9)
+    x = np.array([[0.73]])
+    assert dn.posterior_mean_x0(x, 1)[0, 0] == pytest.approx(0.73, abs=1e-9)
 
 
 def test_posterior_mean_pure_noise_limit(spec2, schedule400):
@@ -40,8 +40,8 @@ def test_posterior_mean_pure_noise_limit(spec2, schedule400):
     dn = AnalyticDenoiser(spec2, sch)
     w, mu, _ = dg.synthdata.pooled_components(spec2)
     pooled_mean = w @ mu
-    for x in (np.array([3.0, -2.0]), np.array([-1.0, 0.5])):
-        np.testing.assert_allclose(dn.posterior_mean_x0(x, 1), pooled_mean, atol=1e-5)
+    for x in (np.array([[3.0, -2.0]]), np.array([[-1.0, 0.5]])):
+        np.testing.assert_allclose(dn.posterior_mean_x0(x, 1)[0], pooled_mean, atol=1e-5)
 
 
 def test_posterior_mean_quadrature_1d():
@@ -72,7 +72,7 @@ def test_posterior_mean_quadrature_1d():
             hints = sorted({-1.2, 0.9, center - 4 * width, center, center + 4 * width})
             num = integrate.quad(integrand_num, -12, 12, limit=400, points=hints)[0]
             den = integrate.quad(integrand_den, -12, 12, limit=400, points=hints)[0]
-            got = dn.posterior_mean_x0(np.array([x_t]), t)[0]
+            got = dn.posterior_mean_x0(np.array([[x_t]]), t)[0, 0]
             assert got == pytest.approx(num / den, abs=1e-8)
 
 
@@ -154,7 +154,7 @@ def test_jacobian_finite_differences(denoiser):
             e = np.zeros(2)
             e[q] = h
             J_fd[:, q] = (
-                denoiser.posterior_mean_x0(x + e, t) - denoiser.posterior_mean_x0(x - e, t)
+                denoiser.posterior_mean_x0((x + e)[None], t)[0] - denoiser.posterior_mean_x0((x - e)[None], t)[0]
             ) / (2 * h)
         worst = max(worst, float(np.abs(J - J_fd).max()))
     assert worst <= 1e-5
@@ -209,7 +209,7 @@ def test_guided_gradient_x0pred_finite_differences(denoiser, h_nonrobust, model_
         g = guided_gradient(denoiser, h_nonrobust, x, t, y, path="x0pred")
 
         def obj(v):
-            return log_softmax_target(forward(model_nonrobust, denoiser.posterior_mean_x0(v, t)), y)
+            return log_softmax_target(forward(model_nonrobust, denoiser.posterior_mean_x0(v[None], t)), y)[0]
 
         g_fd = np.array(
             [(obj(x + h * np.eye(2)[q]) - obj(x - h * np.eye(2)[q])) / (2 * h) for q in range(2)]
@@ -218,7 +218,7 @@ def test_guided_gradient_x0pred_finite_differences(denoiser, h_nonrobust, model_
 
 
 def test_guided_gradient_stop_mode(denoiser, h_nonrobust, schedule400):
-    x = np.array([0.2, 0.6])
+    x = np.array([[0.2, 0.6]])
     t = 111
     v = dg.classifier.input_gradient(h_nonrobust, denoiser.posterior_mean_x0(x, t), 1)
     g = guided_gradient(denoiser, h_nonrobust, x, t, 1, path="x0pred", jacobian_mode="stop_gradient")
@@ -251,7 +251,7 @@ def test_correlated_covariance_conjugate_oracle():
     for _ in range(10):
         x = rng.standard_normal(2)
         want = mu + np.sqrt(ab) * cov @ np.linalg.solve(S, x - np.sqrt(ab) * mu)
-        np.testing.assert_allclose(dn.posterior_mean_x0(x, 1), want, rtol=1e-12)
+        np.testing.assert_allclose(dn.posterior_mean_x0(x[None], 1)[0], want, rtol=1e-12)
         want_J = np.sqrt(ab) * cov @ np.linalg.inv(S)
         np.testing.assert_allclose(jacobian(dn, x, 1), want_J, rtol=1e-11)
 
@@ -274,12 +274,15 @@ def test_correlated_mixture_jacobian_finite_differences():
         for q in range(2):
             e = np.zeros(2)
             e[q] = h
-            J_fd[:, q] = (dn.posterior_mean_x0(x + e, t) - dn.posterior_mean_x0(x - e, t)) / (2 * h)
+            J_fd[:, q] = (dn.posterior_mean_x0((x + e)[None], t) - dn.posterior_mean_x0((x - e)[None], t))[0] / (2 * h)
         assert np.abs(J - J_fd).max() <= 1e-5
 
 
-@pytest.mark.parametrize("x", [np.zeros((4, 1)), np.zeros(1), np.zeros((4, 3)), np.zeros((4, 1, 2))],
-                         ids=["one-coordinate-rows", "one-coordinate-point", "three-coordinate-rows", "three-axes"])
+@pytest.mark.parametrize(
+    "x",
+    [np.zeros((4, 1)), np.zeros(1), np.zeros((4, 3)), np.zeros((4, 1, 2)), np.zeros(2)],
+    ids=["one-coordinate-rows", "one-coordinate-point", "three-coordinate-rows", "three-axes", "one-point"],
+)
 def test_posterior_mean_refuses_points_of_another_dimension(denoiser, x):
     # a one-coordinate point broadcast against the 2-D tables and came back 2-D
     with pytest.raises(ValueError, match=r"points of shape .*: expected \(n, 2\)"):
@@ -293,8 +296,8 @@ def test_batch_matches_single(denoiser):
     E = denoiser.posterior_mean_x0(X, t)
     J = jacobian(denoiser, X, t)
     for i in range(9):
-        np.testing.assert_allclose(E[i], denoiser.posterior_mean_x0(X[i], t), atol=1e-15)
-        np.testing.assert_allclose(J[i], jacobian(denoiser, X[i], t), atol=1e-15)
+        np.testing.assert_allclose(E[i], denoiser.posterior_mean_x0(X[i][None], t)[0], atol=1e-15)
+        np.testing.assert_allclose(J[i], jacobian(denoiser, X[i][None], t)[0], atol=1e-15)
 
 
 def _einsum_bundle(dn, X, t, with_jacobian):

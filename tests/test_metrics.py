@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -115,8 +116,24 @@ def test_evaluate_refuses_samples_of_another_dimension(spec2, h_oracle):
 
 def test_evaluate_refuses_a_negative_diverged_count(spec2, h_oracle):
     # -1 was written into the report
-    with pytest.raises(ValueError, match=r"n_diverged must be >= 0, got -1"):
+    with pytest.raises(ValueError, match=r"n_diverged must be an integer >= 0, got -1"):
         evaluate(np.zeros((5, 2)), spec2, 1, h_oracle, seed=0, n_diverged=-1)
+
+
+@pytest.mark.parametrize("n_diverged", [1.5, True, np.float64(1.0)], ids=["fraction", "bool", "numpy-float"])
+def test_evaluate_refuses_a_diverged_count_that_is_not_an_integer(spec2, h_oracle, n_diverged):
+    # int() wrote each of these into the report as 1
+    with pytest.raises(ValueError, match=rf"n_diverged must be an integer >= 0, got {re.escape(repr(n_diverged))}"):
+        evaluate(np.zeros((5, 2)), spec2, 1, h_oracle, seed=0, n_diverged=n_diverged)
+    # a numpy integer is an integer count
+    assert evaluate(np.zeros((5, 2)), spec2, 1, h_oracle, seed=0, n_diverged=np.int64(2)).n_diverged == 2
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 2, 2), (0,)], ids=["one-point", "three-axes", "empty-1-d"])
+def test_evaluate_refuses_samples_that_are_not_a_batch(spec2, h_oracle, shape):
+    # a (2,) point or a 3-D array read as an empty batch
+    with pytest.raises(ValueError, match=rf"points of shape {re.escape(str(shape))}: expected \(n, 2\)"):
+        evaluate(np.zeros(shape), spec2, 1, h_oracle, seed=0)
 
 
 def test_evaluate_deterministic(spec2, h_oracle):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ def _zero_model(sizes):
 
 def test_zero_model_zero_logits():
     m = _zero_model([3, 8, 2])
-    assert np.array_equal(forward(m, np.array([1.0, -2.0, 0.5])), np.zeros(2))
+    assert np.array_equal(forward(m, np.array([[1.0, -2.0, 0.5]])), np.zeros((1, 2)))
 
 
 def test_single_linear_layer_is_affine():
@@ -37,7 +39,7 @@ def test_single_linear_layer_is_affine():
     b = rng.standard_normal(2)
     m = MlpModel((W,), (b,))
     x = rng.standard_normal(3)
-    np.testing.assert_allclose(forward(m, x), x @ W + b, rtol=0, atol=0)
+    np.testing.assert_allclose(forward(m, x[None])[0], x @ W + b, rtol=0, atol=0)
 
 
 def test_forward_duplicate_evaluation_oracle():
@@ -49,7 +51,7 @@ def test_forward_duplicate_evaluation_oracle():
     for i, (W, b) in enumerate(zip(m.weights, m.biases)):
         z = np.array([sum(a[j] * W[j, k] for j in range(len(a))) + b[k] for k in range(W.shape[1])])
         a = np.tanh(z) if i < len(m.weights) - 1 else z
-    np.testing.assert_allclose(forward(m, x), a, rtol=1e-12)
+    np.testing.assert_allclose(forward(m, x[None])[0], a, rtol=1e-12)
 
 
 def test_forward_batch_matches_single():
@@ -57,26 +59,33 @@ def test_forward_batch_matches_single():
     X = np.random.default_rng(1).standard_normal((10, 2))
     batch = forward(m, X)
     for i in range(10):
-        assert np.array_equal(batch[i], forward(m, X[i]))
+        assert np.array_equal(batch[i], forward(m, X[i][None])[0])
 
 
 def test_forward_dimension_check():
     m = init_mlp([2, 4, 2], seed=0)
     with pytest.raises(ValueError, match="input dim 3 != model dim 2"):
-        forward(m, np.zeros(3))
-    # the input gradient runs the same pass and rejects with the same message
-    for x in (np.zeros(3), np.zeros((5, 3))):
+        forward(m, np.zeros((1, 3)))
+    # the input gradient runs the same check and rejects with the same message
+    for x in (np.zeros((1, 3)), np.zeros((5, 3))):
         with pytest.raises(ValueError, match="input dim 3 != model dim 2"):
             input_gradient(m, x, 0)
 
 
 def test_log_softmax_target_values():
-    assert log_softmax_target(np.array([0.0, 0.0]), 0) == pytest.approx(np.log(0.5), abs=1e-12)
-    assert log_softmax_target(np.array([1000.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-12)
+    assert log_softmax_target(np.array([[0.0, 0.0]]), 0)[0] == pytest.approx(np.log(0.5), abs=1e-12)
+    assert log_softmax_target(np.array([[1000.0, 0.0]]), 0)[0] == pytest.approx(0.0, abs=1e-12)
     want = -np.log(1.0 + np.exp(-1.0) + np.exp(-2.0))
-    got = log_softmax_target(np.array([1.0, 2.0, 3.0]), 2)
+    got = log_softmax_target(np.array([[1.0, 2.0, 3.0]]), 2)[0]
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(-0.4076059, abs=1e-7)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 3)], ids=["one-row", "three-axes"])
+def test_log_softmax_target_refuses_logits_that_are_not_rows(shape):
+    # a (C,) row was once read as one point's logits
+    with pytest.raises(ValueError, match=rf"logits of shape {re.escape(str(shape))}: expected \(n, C\)"):
+        log_softmax_target(np.zeros(shape), 0)
 
 
 def test_log_softmax_is_normalized():
@@ -93,23 +102,23 @@ def test_input_gradient_linear_closed_form():
     W = rng.standard_normal((3, 2))
     b = rng.standard_normal(2)
     m = MlpModel((W,), (b,))
-    x = rng.standard_normal(3)
-    logits = forward(m, x)
+    x = rng.standard_normal((1, 3))
+    logits = forward(m, x)[0]
     p = np.exp(log_softmax(logits))
     for y in (0, 1):
         want = (1.0 - p[y]) * (W[:, y] - W[:, 1 - y])
-        np.testing.assert_allclose(input_gradient(m, x, y), want, rtol=1e-12)
+        np.testing.assert_allclose(input_gradient(m, x, y)[0], want, rtol=1e-12)
     # at a logit tie the posterior is 1/2
     m_tie = MlpModel((W,), (np.zeros(2),))
-    x_tie = np.zeros(3)
+    x_tie = np.zeros((1, 3))
     np.testing.assert_allclose(
-        input_gradient(m_tie, x_tie, 0), 0.5 * (W[:, 0] - W[:, 1]), rtol=1e-12
+        input_gradient(m_tie, x_tie, 0)[0], 0.5 * (W[:, 0] - W[:, 1]), rtol=1e-12
     )
 
 
 def test_input_gradient_zero_model():
     m = _zero_model([4, 6, 3])
-    assert np.array_equal(input_gradient(m, np.ones(4), 1), np.zeros(4))
+    assert np.array_equal(input_gradient(m, np.ones((1, 4)), 1), np.zeros((1, 4)))
 
 
 def _fd_gradient(f, x, h=1e-5):
@@ -130,8 +139,8 @@ def test_input_gradient_finite_differences(activation):
         m = init_mlp(sizes, activation, seed=int(rng.integers(1 << 31)))
         x = rng.standard_normal(sizes[0])
         y = int(rng.integers(sizes[-1]))
-        g = input_gradient(m, x, y)
-        g_fd = _fd_gradient(lambda v: log_softmax_target(forward(m, v), y), x)
+        g = input_gradient(m, x[None], y)[0]
+        g_fd = _fd_gradient(lambda v: log_softmax_target(forward(m, v[None]), y)[0], x)
         err = np.linalg.norm(g - g_fd) / max(np.linalg.norm(g_fd), 1e-12)
         assert err <= 1e-6, f"case {case}: rel err {err}"
 
@@ -140,11 +149,11 @@ def test_input_gradient_logit_objective():
     rng = np.random.default_rng(4)
     m = init_mlp([3, 7, 2], seed=9)
     x = rng.standard_normal(3)
-    g = input_gradient(m, x, 1, objective="logit")
-    g_fd = _fd_gradient(lambda v: forward(m, v)[1], x)
+    g = input_gradient(m, x[None], 1, objective="logit")[0]
+    g_fd = _fd_gradient(lambda v: forward(m, v[None])[0, 1], x)
     assert np.linalg.norm(g - g_fd) <= 1e-8 * max(1.0, np.linalg.norm(g_fd))
     with pytest.raises(ValueError):
-        input_gradient(m, x, 1, objective="score")
+        input_gradient(m, x[None], 1, objective="score")
 
 
 def test_input_gradient_batch_matches_single():
@@ -153,7 +162,7 @@ def test_input_gradient_batch_matches_single():
     ys = np.array([0, 1, 1, 0, 1, 0, 0])
     batch = input_gradient(m, X, ys)
     for i in range(7):
-        np.testing.assert_allclose(batch[i], input_gradient(m, X[i], ys[i]), atol=1e-14)
+        np.testing.assert_allclose(batch[i], input_gradient(m, X[i][None], ys[i])[0], atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -178,7 +187,7 @@ def test_input_gradient_rows_are_subset_invariant(objective, activation):
         assert np.array_equal(np.concatenate(shards), whole), size
     subset = rng.permutation(1000)[:300]
     assert np.array_equal(rows(subset), whole[subset])
-    assert np.array_equal(rows(17), whole[17])
+    assert np.array_equal(rows([17]), whole[[17]])
 
 
 # the class-major log-softmax sums fewer than 8 classes in the same order as

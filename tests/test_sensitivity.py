@@ -103,8 +103,8 @@ def test_gradient_sensitivity_symmetric_swap(h_nonrobust, small_denoiser):
     # swapping the pair swaps which point gets which step index; for the raw
     # path the value only depends on the two gradients, so equality is exact
     v1 = gradient_sensitivity(h_nonrobust, small_denoiser, a, b, 5, 1, path="raw")
-    g_a = guided_gradient(small_denoiser, h_nonrobust, a, 5, 1, path="raw")
-    g_b = guided_gradient(small_denoiser, h_nonrobust, b, 4, 1, path="raw")
+    g_a = guided_gradient(small_denoiser, h_nonrobust, a[None], 5, 1, path="raw")[0]
+    g_b = guided_gradient(small_denoiser, h_nonrobust, b[None], 4, 1, path="raw")[0]
     assert v1 == pytest.approx(
         float(np.linalg.norm(g_a - g_b) / np.linalg.norm(a - b)), rel=1e-15
     )
