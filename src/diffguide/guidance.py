@@ -8,6 +8,7 @@ from zero deliberately biases early guidance toward zero, when the chain
 state is nearly pure noise and classifier gradients are least reliable.
 """
 
+import math
 import mmap
 import os
 import signal
@@ -176,8 +177,8 @@ class BatchResult:
 
 
 _CHAIN_LABEL = "chain"
-# fewest chains a forked shard runs: below it, the fork costs more than the
-# shard's loop saves
+# fewest chains, or sensitivity points, a forked shard runs: below it, the
+# fork costs more than the shard's loop saves
 _MIN_SHARD = 64
 
 
@@ -206,13 +207,11 @@ def _run_chains(
     draws its noise once for all scales, and every part of a step is
     row-invariant, so a row equals the same chain run alone at its scale.
 
-    The chains split into contiguous shards, one per allowed CPU with at
-    least _MIN_SHARD chains each. Every shard writes its rows into its own
-    columns of one result buffer, an anonymous mapping that forked children
-    share. The parent forks a child for every shard after the first and
-    runs the first itself; a shard whose fork fails, or whose child exits
-    non-zero, reruns in the parent over whatever the child wrote, so results
-    and exceptions are those of one serial loop."""
+    _run_shards cuts the chains into contiguous shards, one per allowed CPU
+    with at least _MIN_SHARD chains each, and runs them in forked children;
+    each shard's _chain_loop writes its rows into its own columns of one
+    shared result buffer, so results and exceptions are those of one serial
+    loop."""
     check_integer(n, "n", 1)
     if not np.array_equal(schedule.betas, dn.schedule.betas):
         raise ValueError("the schedule's betas differ from the denoiser's")
@@ -223,46 +222,69 @@ def _run_chains(
     if len(set(chain_indices)) != n:
         raise ValueError("chain indices repeat a chain: each must name its own substream")
 
-    shards = _shards(chain_indices)
-    ends = np.cumsum([0] + [len(shard) for shard in shards])
     S, d = len(scales), dn.dim
-    buf = mmap.mmap(-1, S * n * (d + 1) * 8)
-    samples = np.frombuffer(buf, dtype=np.float64, count=S * n * d).reshape(S, n, d)
-    diverged_t = np.frombuffer(buf, dtype=np.int64, offset=S * n * d * 8).reshape(S, n)
 
-    def run(k):
-        part = _chain_loop(dn, schedule, cfg, scales, shards[k], seed)
-        samples[:, ends[k] : ends[k + 1]] = part.samples.reshape(S, -1, d)
-        diverged_t[:, ends[k] : ends[k + 1]] = part.diverged_t.reshape(S, -1)
+    def run(shard, out):
+        part = _chain_loop(dn, schedule, cfg, scales, shard, seed)
+        out[0][:] = part.samples.reshape(S, -1, d)
+        out[1][:] = part.diverged_t.reshape(S, -1)
+    samples, diverged_t = _run_shards(chain_indices, [(np.float64, (S, n, d)), (np.int64, (S, n))], run)
+    return BatchResult(samples.reshape(S * n, d), diverged_t.reshape(S * n))
+
+
+def _run_shards(items, layout, run) -> list:
+    """Run run(shard, out) over contiguous shards of items and return the
+    arrays it filled, one per (dtype, shape) of layout. Axis 1 of every
+    shape is the row axis, one row per item: out holds the shard's own
+    columns of each array, and run fills them.
+
+    The arrays are views of one anonymous mapping that forked children
+    share. The parent forks a child for every shard after the first and
+    runs the first itself, so one shard is the same path with no fork; a
+    shard whose fork fails, or whose child exits non-zero, reruns in the
+    parent over whatever the child wrote. If every run fills its columns
+    as a serial run over all the items would, results and exceptions are
+    those of that serial run. The arrays returned are copies."""
+    shards = _shards(items)
+    ends = np.cumsum([0] + [len(shard) for shard in shards])
+    offsets = np.cumsum([0] + [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout])
+    buf = mmap.mmap(-1, int(offsets[-1]))
+    arrays = [
+        np.frombuffer(buf, dtype, count=math.prod(shape), offset=int(at)).reshape(shape)
+        for (dtype, shape), at in zip(layout, offsets)
+    ]
+
+    def run_shard(k):
+        run(shards[k], [a[:, ends[k] : ends[k + 1]] for a in arrays])
     children = {}  # shard number -> pid, until reaped
     try:
         for k in range(1, len(shards)):
             try:
-                children[k] = _fork_shard(run, k)
+                children[k] = _fork_shard(run_shard, k)
             except OSError:
                 pass  # the parent runs this shard below
-        run(0)
+        run_shard(0)
         for k in range(1, len(shards)):
-            # only a child that exits 0 wrote all of its rows
+            # only a child that exits 0 filled all of its columns
             complete = k in children and os.waitpid(children[k], 0)[1] == 0
             children.pop(k, None)
             if not complete:
-                run(k)
+                run_shard(k)
     finally:
         for pid in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return BatchResult(samples.reshape(S * n, d).copy(), diverged_t.reshape(S * n).copy())
+    return [a.copy() for a in arrays]
 
 
-def _shards(chain_indices) -> list:
-    """Contiguous, near-equal shards of the chains: one per allowed CPU, each
-    of at least _MIN_SHARD chains, and one where fork is missing."""
-    n = len(chain_indices)
+def _shards(items) -> list:
+    """Contiguous, near-equal shards of items: one per allowed CPU, each of
+    at least _MIN_SHARD items, and one where fork is missing."""
+    n = len(items)
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
     k = max(1, min(cpus, n // _MIN_SHARD)) if hasattr(os, "fork") else 1
-    return [chain_indices[n * j // k : n * (j + 1) // k] for j in range(k)]
+    return [items[n * j // k : n * (j + 1) // k] for j in range(k)]
 
 
 def _fork_shard(run, k) -> int:

@@ -19,6 +19,13 @@ subtraction and one norm each give every pair's change and distance, and
 one assignment files the block's ratios; only the stabilizer update runs
 step by step. Every part of a pass is row-invariant, and a norm over the
 last axis is taken per row, so a curve does not depend on the block size.
+
+The points walk in contiguous shards across the allowed CPUs, through the
+chain loop's driver, guidance._run_shards. Each shard takes its rows of the
+one noise draw made before any fork and walks them with its own zero state
+of the stabilizer, which is elementwise, so a curve does not depend on the
+shards either. A NaN change is refused after the gather, at the largest
+step any shard found, the step a walk over all the points stops at.
 """
 
 from dataclasses import dataclass
@@ -28,7 +35,7 @@ import numpy as np
 from .artifacts import write_csv
 from .classifier import predict_logits
 from .denoiser import AnalyticDenoiser
-from .guidance import GuidanceConfig, guidance_gradient, init_stabilizer_state, stabilize
+from .guidance import GuidanceConfig, _run_shards, guidance_gradient, init_stabilizer_state, stabilize
 from .rng import check_integer
 from .schedule import forward_sample
 from .synthdata import check_class
@@ -77,8 +84,7 @@ def curve(
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}")
     check_integer(seed, "seed")
-    h, path, stabilizer = recipe.classifier, recipe.path, recipe.stabilizer
-    schedule = dn.schedule
+    h, schedule = recipe.classifier, dn.schedule
     X0 = np.asarray(points, dtype=np.float64)
     if X0.ndim != 2 or X0.shape[1] != dn.dim:
         raise ValueError(f"points of shape {X0.shape}: expected (n, {dn.dim})")
@@ -90,7 +96,36 @@ def curve(
         raise ValueError(f"labels must be {n} integers, one per point; got {ys.dtype} of shape {ys.shape}")
     check_class(ys, h.n_classes, "label")
     T = schedule.T
+    # one draw before the shards: a shard that drew its own would walk other noise
     eps = np.random.default_rng(seed).standard_normal((n, d))
+
+    def run(rows, out):
+        ratios, nan_step = out
+        nan_step[:] = _walk(recipe, dn, metric, X0[rows], ys[rows], eps[rows], ratios)
+    ratios, nan_step = _run_shards(range(n), [(np.float64, (T - 1, n)), (np.int64, (1, n))], run)
+    step = nan_step.max()  # the step a walk over all the points stops at
+    if step > 0:
+        raise ValueError(f"the {metric} changed by NaN between distinct points at step {step}")
+
+    counts = np.count_nonzero(~np.isnan(ratios), axis=1)
+    some = counts > 0  # a step with no defined pair stays NaN
+    means, stds = np.full(T - 1, np.nan), np.full(T - 1, np.nan)
+    with np.errstate(all="ignore"):  # a ratio that overflowed to inf makes nanstd's centring warn
+        means[some] = np.nanmean(ratios[some], axis=1)
+        stds[some] = np.nanstd(ratios[some], axis=1)
+    label = recipe.stabilizer.label if metric == "stabilized_gradient" else "none"
+    return SensitivityCurve(
+        metric, recipe.path, label, np.arange(2, T + 1), means, stds, counts.astype(np.int64)
+    )
+
+
+def _walk(recipe: GuidanceConfig, dn: AnalyticDenoiser, metric: str, X0, ys, eps, ratios) -> int:
+    """Walk the trajectories of points X0 (n, d) with labels ys and noise
+    eps t = T..1, filing step t's ratios in row t - 2 of ratios (T - 1, n).
+    Returns the largest step whose change is NaN between distinct points,
+    where the walk stops, or 0."""
+    h, path, stabilizer, schedule = recipe.classifier, recipe.path, recipe.stabilizer, dn.schedule
+    (n, d), T = X0.shape, schedule.T
     # every block's points, noise and labels, step-major: rows i*n..(i+1)*n
     # are the block's i-th step, and a short last block reads a prefix
     per_block = max(1, _BLOCK_ROWS // n)
@@ -99,7 +134,6 @@ def curve(
     with_jacobian = metric != "logit" and recipe.needs_jacobian
 
     # walk t = T..1, the sampling direction the stabilizer state needs
-    ratios = np.full((T - 1, n), np.nan)  # row i = step t = i + 2
     state = init_stabilizer_state((n, d))
     last = None  # the previous block's last step (f, x), the first pair's upper end
     for top in range(T, 0, -per_block):
@@ -126,21 +160,10 @@ def curve(
             den = np.linalg.norm(X[:-1] - X[1:], axis=-1)
         nan_change = np.isnan(num) & (den > 0.0)
         if nan_change.any():
-            step = pairs[nan_change.any(axis=1)][0] + 1
-            raise ValueError(f"the {metric} changed by NaN between distinct points at step {step}")
+            return int(pairs[nan_change.any(axis=1)][0]) + 1
         ratios[pairs - 1] = np.divide(num, den, out=np.full_like(num, np.nan), where=den > 0.0)
         last = F[-1], X[-1]
-
-    counts = np.count_nonzero(~np.isnan(ratios), axis=1)
-    some = counts > 0  # a step with no defined pair stays NaN
-    means, stds = np.full(T - 1, np.nan), np.full(T - 1, np.nan)
-    with np.errstate(all="ignore"):  # a ratio that overflowed to inf makes nanstd's centring warn
-        means[some] = np.nanmean(ratios[some], axis=1)
-        stds[some] = np.nanstd(ratios[some], axis=1)
-    label = stabilizer.label if metric == "stabilized_gradient" else "none"
-    return SensitivityCurve(
-        metric, path, label, np.arange(2, T + 1), means, stds, counts.astype(np.int64)
-    )
+    return 0
 
 
 def save_curve_csv(curve_obj: SensitivityCurve, path, config_hash: str = "") -> None:

@@ -150,8 +150,7 @@ def three_class_benchmark() -> GmmSpec:
 
 def sample_dataset(spec: GmmSpec, n: int, seed: int) -> LabeledDataset:
     """Draw n labeled points; deterministic in seed, an integer >= 0."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_integer(n, "n", 1)
     check_integer(seed, "seed")
     points, labels = sample_labeled(spec, n, np.random.default_rng(seed))
     points.setflags(write=False)
@@ -301,6 +300,8 @@ class ComponentTables:
         spec's dimension d, or ValueError."""
         if X.shape[1:] != self.means.shape[1:]:
             raise ValueError(f"points of shape {X.shape}: expected (n, {self.means.shape[1]}), one point per row")
+        if len(rows) == 0 or len(X) % len(rows):
+            raise ValueError(f"{len(X)} rows do not split into {len(rows)} steps")
         marg = self.marg[rows]
         points = X.reshape(len(rows), -1, X.shape[1]).swapaxes(-1, -2)  # (s, d, n)
         diff = points[..., None, :] - self.shifted_means[rows]  # (s, d, K, n)

@@ -86,6 +86,37 @@ def small_denoiser(spec2, small_schedule):
     return dg.AnalyticDenoiser(spec2, small_schedule)
 
 
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Force the shard count of guidance._run_shards, which runs the chain
+    loop and the sensitivity walk: k allowed CPUs, one row per shard at least."""
+
+    def force(k):
+        monkeypatch.setattr(dg.guidance, "_MIN_SHARD", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    return force
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The shards handed to a child, recorded as each one forks."""
+    counted, made = [], []
+    shards, fork_shard = dg.guidance._shards, dg.guidance._fork_shard
+
+    def sharding(items):
+        made[:] = shards(items)
+        return made
+
+    def counting(run, k):
+        counted.append(made[k])
+        return fork_shard(run, k)
+
+    monkeypatch.setattr(dg.guidance, "_shards", sharding)
+    monkeypatch.setattr(dg.guidance, "_fork_shard", counting)
+    return counted
+
+
 def binomial_3sigma(p: float, n: int) -> float:
     return 3.0 * np.sqrt(p * (1.0 - p) / n)
 

@@ -289,6 +289,15 @@ def test_posterior_mean_refuses_points_of_another_dimension(denoiser, x):
         denoiser.posterior_mean_x0(x, 5)
 
 
+@pytest.mark.parametrize("x", [np.float64(1.0), np.array(1.0)], ids=["numpy-scalar", "0-d-array"])
+def test_posterior_mean_names_the_shape_of_a_0d_point(denoiser, x):
+    # the step-split check took len() of the points first: TypeError: len() of unsized object
+    with pytest.raises(ValueError, match=r"points of shape \(\): expected \(n, 2\)"):
+        denoiser.posterior_mean_x0(x, 3)
+    with pytest.raises(ValueError, match=r"points of shape \(\): expected \(n, 2\)"):
+        denoiser._bundle(x, np.array([3, 2]), True)
+
+
 def test_batch_matches_single(denoiser):
     rng = np.random.default_rng(14)
     X = rng.standard_normal((9, 2))

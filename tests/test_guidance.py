@@ -479,36 +479,6 @@ def test_batch_refuses_a_schedule_other_than_the_denoisers(small_denoiser, small
 # -- chains sharded across processes ------------------------------------------
 
 
-@pytest.fixture()
-def cpus(monkeypatch):
-    """Force the chain loop's shard count: k allowed CPUs, one chain per shard at least."""
-
-    def force(k):
-        monkeypatch.setattr(dg.guidance, "_MIN_SHARD", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-
-    return force
-
-
-@pytest.fixture()
-def forks(monkeypatch):
-    """The shards handed to a child, recorded as each one forks."""
-    counted, made = [], []
-    shards, fork_shard = dg.guidance._shards, dg.guidance._fork_shard
-
-    def sharding(chain_indices):
-        made[:] = shards(chain_indices)
-        return made
-
-    def counting(run, k):
-        counted.append(made[k])
-        return fork_shard(run, k)
-
-    monkeypatch.setattr(dg.guidance, "_shards", sharding)
-    monkeypatch.setattr(dg.guidance, "_fork_shard", counting)
-    return counted
-
-
 def _same_rows(got, want):
     return (
         np.array_equal(got.samples, want.samples, equal_nan=True)

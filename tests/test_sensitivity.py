@@ -1,5 +1,7 @@
 import csv
+import errno
 import math
+import os
 import statistics
 import warnings
 
@@ -402,10 +404,12 @@ _BLOCK_CASES = [
 
 @pytest.mark.parametrize("persona,metric,path,jacobian_mode,stabilizer", _BLOCK_CASES)
 def test_curve_does_not_depend_on_the_block_size(
-    request, denoiser, val_ds, monkeypatch, persona, metric, path, jacobian_mode, stabilizer
+    request, denoiser, val_ds, monkeypatch, cpus, persona, metric, path, jacobian_mode, stabilizer
 ):
-    # 300 points: 4096 // 300 = 13 steps per block, which leave a short last
-    # block of T = 400 steps; one row per block gives one step per block
+    # 300 points on one shard: 4096 // 300 = 13 steps per block, which leave
+    # a short last block of T = 400 steps; one row per block gives one step
+    # per block
+    cpus(1)
     h = request.getfixturevalue(persona)
     pts, labs = val_ds.points[:300], val_ds.labels[:300]
     curves = []
@@ -422,9 +426,10 @@ def test_curve_does_not_depend_on_the_block_size(
 
 @pytest.mark.parametrize("zero_beta", [False, True], ids=["T400", "zero-beta-across-blocks"])
 @pytest.mark.parametrize("metric", ["logit", "gradient", "stabilized_gradient"])
-def test_curve_equals_the_per_step_walk(h_nonrobust, denoiser, spec2, val_ds, metric, zero_beta):
-    # 300 points: 4096 // 300 = 13 steps per block, so T = 400 and T = 40
-    # both end in a short block
+def test_curve_equals_the_per_step_walk(h_nonrobust, denoiser, spec2, val_ds, cpus, metric, zero_beta):
+    # 300 points on one shard: 4096 // 300 = 13 steps per block, so T = 400
+    # and T = 40 both end in a short block
+    cpus(1)
     pts, labs = val_ds.points[:300], val_ds.labels[:300]
     assert dg.sensitivity._BLOCK_ROWS // 300 == 13
     dn = denoiser
@@ -442,3 +447,121 @@ def test_curve_equals_the_per_step_walk(h_nonrobust, denoiser, spec2, val_ds, me
     assert c.count.dtype == count.dtype and c.count.tobytes() == count.tobytes()
     if zero_beta:
         assert count[28 - 2] == 0 and np.all(np.delete(count, 28 - 2) == 300)
+
+
+# -- the walk sharded across processes -----------------------------------------
+
+
+_WALK_PATHS = [("raw", "full"), ("x0pred", "full"), ("x0pred", "stop_gradient")]
+
+
+def _gathered(monkeypatch):
+    """The arrays each _run_shards call of curve returns, recorded in order."""
+    calls, run_shards = [], dg.sensitivity._run_shards
+
+    def gathering(*args):
+        calls.append(run_shards(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(dg.sensitivity, "_run_shards", gathering)
+    return calls
+
+
+def _same_curve(got, want):
+    return all(getattr(got, f).tobytes() == getattr(want, f).tobytes() for f in ("t", "mean", "std", "count"))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("path,jacobian_mode", _WALK_PATHS, ids=["raw", "x0pred-full", "x0pred-stop_gradient"])
+@pytest.mark.parametrize("metric", ["logit", "gradient", "stabilized_gradient"])
+def test_sharded_walk_equals_the_serial_walk_bitwise(
+    h_nonrobust, small_denoiser, val_ds, cpus, forks, monkeypatch, k, path, jacobian_mode, metric
+):
+    # 31 points split 10, 10, 11 over three shards; 100 rows a block give the
+    # serial walk blocks of 3 steps and the shards blocks of 10 and 9
+    monkeypatch.setattr(dg.sensitivity, "_BLOCK_ROWS", 100)
+    recipe = _recipe(h_nonrobust, path=path, jacobian_mode=jacobian_mode, stabilizer=adam(0.8, 0.9))
+    pts, labs = val_ds.points[:31], val_ds.labels[:31]
+    T = small_denoiser.schedule.T
+    serial = np.full((T - 1, 31), np.nan)
+    eps = np.random.default_rng(6).standard_normal((31, 2))
+    assert dg.sensitivity._walk(recipe, small_denoiser, metric, pts, labs, eps, serial) == 0
+    cpus(1)
+    one = curve(recipe, small_denoiser, pts, labs, metric, seed=6)
+    gathered = _gathered(monkeypatch)
+    cpus(k)
+    sharded = curve(recipe, small_denoiser, pts, labs, metric, seed=6)
+    assert [len(shard) for shard in forks] == {1: [], 2: [16], 3: [10, 11]}[k]
+    ratios, nan_step = gathered[0]
+    assert ratios.tobytes() == serial.tobytes()
+    assert not nan_step.any()
+    assert _same_curve(sharded, one)
+
+
+def _nan_logits_at(monkeypatch, marks):
+    """Make the raw-path logits NaN at the given (point, step) pairs of a walk
+    whose point i is (i, 0): x_t is moved far off and its logits read NaN."""
+    sample, logits = dg.sensitivity.forward_sample, dg.sensitivity.predict_logits
+
+    def marked(schedule, X0, t, eps):
+        X = sample(schedule, X0, t, eps)
+        for point, step in marks:
+            X[(X0[:, 0] == point) & (t == step)] = 1e6
+        return X
+
+    def nan_far_off(h, X):
+        F = logits(h, X)
+        F[np.abs(X[:, 0]) > 1e5] = np.nan
+        return F
+
+    monkeypatch.setattr(dg.sensitivity, "forward_sample", marked)
+    monkeypatch.setattr(dg.sensitivity, "predict_logits", nan_far_off)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_nan_change_names_the_serial_walks_step_whichever_shard_finds_it(
+    h_oracle, small_denoiser, cpus, forks, monkeypatch, k
+):
+    # point 3 (the parent's shard) turns NaN at step 20 and point 25 (the
+    # last shard) at step 40: its pair with x_41 is the serial walk's first
+    # NaN change, at step 41, though the parent's shard finds step 21 first
+    pts = np.column_stack([np.arange(31.0), np.zeros(31)])
+    _nan_logits_at(monkeypatch, [(3, 20), (25, 40)])
+    cpus(k)
+    with pytest.raises(ValueError, match="changed by NaN between distinct points at step 41$"):
+        curve(_recipe(h_oracle), small_denoiser, pts, np.zeros(31, dtype=int), "logit", seed=1)
+    assert len(forks) == k - 1
+
+
+def test_a_failed_fork_walks_the_shard_in_the_parent(h_nonrobust, small_denoiser, val_ds, cpus, monkeypatch):
+    recipe = _recipe(h_nonrobust, path="x0pred", stabilizer=ema(0.9))
+    pts, labs = val_ds.points[:31], val_ds.labels[:31]
+    cpus(1)
+    serial = curve(recipe, small_denoiser, pts, labs, "stabilized_gradient", seed=3)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cpus(3)
+    assert _same_curve(curve(recipe, small_denoiser, pts, labs, "stabilized_gradient", seed=3), serial)
+
+
+def test_a_walk_child_that_exits_without_its_ratios_is_rerun_in_the_parent(
+    h_nonrobust, small_denoiser, val_ds, cpus, forks, monkeypatch
+):
+    recipe = _recipe(h_nonrobust, path="x0pred", stabilizer=ema(0.9))
+    pts, labs = val_ds.points[:31], val_ds.labels[:31]
+    cpus(1)
+    serial = curve(recipe, small_denoiser, pts, labs, "stabilized_gradient", seed=3)
+    walk, parent = dg.sensitivity._walk, os.getpid()
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return walk(*args)
+
+    monkeypatch.setattr(dg.sensitivity, "_walk", dies_in_a_child)
+    cpus(3)
+    assert _same_curve(curve(recipe, small_denoiser, pts, labs, "stabilized_gradient", seed=3), serial)
+    assert len(forks) == 2

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -80,6 +81,18 @@ def test_different_seed_differs():
 def test_rejects_bad_n():
     with pytest.raises(ValueError):
         sample_dataset(two_class_benchmark(), 0, 1)
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)], ids=["fraction", "bool", "numpy-float"])
+def test_sample_dataset_refuses_a_count_that_is_not_an_integer(n):
+    # 2.5 and True failed inside numpy's rng.choice with a TypeError
+    with pytest.raises(ValueError, match=rf"n must be an integer >= 1, got {re.escape(repr(n))}"):
+        sample_dataset(two_class_benchmark(), n, 1)
+
+
+def test_a_numpy_integer_count_draws_the_same_points():
+    a, b = sample_dataset(two_class_benchmark(), np.int64(40), 5), sample_dataset(two_class_benchmark(), 40, 5)
+    assert a.points.tobytes() == b.points.tobytes() and a.labels.tobytes() == b.labels.tobytes()
 
 
 def test_class_frequencies_chi2():
