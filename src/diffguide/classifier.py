@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .synthdata import GmmSpec, _ordered_sum, check_class
+from .rng import check_index
+from .synthdata import GmmSpec, _ordered_sum
 
 _KINDS = ("non_robust", "robust", "bayes_oracle")
 _CLEAN_ROW = np.zeros(1, dtype=np.intp)  # the one row of GmmSpec.clean_tables
@@ -68,7 +69,7 @@ def input_gradient(h: ClassifierHandle, x, y, objective: str = "log_softmax") ->
     X = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # far points: see _oracle_pass
         logits, grads, some_gone = _oracle_pass(h, X)  # (C, n), (C, d, n)
-        check_class(y, h.n_classes, rows=len(X))
+        check_index(y, h.n_classes, "y", rows=len(X))
         # gradient of the class-y logit (d, n): one class's row of the pass,
         # or a gather of each row's own class
         g = grads[int(y)] if np.ndim(y) == 0 else grads[np.asarray(y, dtype=np.int64), :, np.arange(len(X))].T

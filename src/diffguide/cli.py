@@ -25,7 +25,7 @@ from . import nn
 from . import sensitivity as sens
 from .artifacts import json_text, write_csv
 from .denoiser import AnalyticDenoiser
-from .rng import substream_seed
+from .rng import is_number, substream_seed
 from .schedule import linear_schedule
 from .synthdata import (
     GmmSpec,
@@ -83,12 +83,8 @@ def default_config() -> dict:
     return _defaults(_CONFIG)
 
 
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
 def _is_number_list(val) -> bool:
-    return isinstance(val, list) and all(map(_is_number, val))
+    return isinstance(val, list) and all(map(is_number, val))
 
 
 def _check_keys(node, tree, where: str) -> None:
@@ -102,7 +98,7 @@ def _check_keys(node, tree, where: str) -> None:
         if kind is dict:
             _check_keys(val, sub, f"{where}.{key}")
         elif kind is float:
-            if not _is_number(val):
+            if not is_number(val):
                 raise ConfigError(f"{where}.{key}: expected a number")
         elif not isinstance(val, kind) or isinstance(val, bool):
             raise ConfigError(f"{where}.{key}: expected {kind.__name__}")
@@ -116,16 +112,16 @@ def _check_classes(classes: list) -> None:
         where = f"config.data.classes[{i}]"
         if not isinstance(c, dict) or set(c) != {"prior", "components"}:
             raise ConfigError(f"{where}: expected an object with exactly prior and components")
-        if not _is_number(c["prior"]) or not isinstance(c["components"], list) or not c["components"]:
+        if not is_number(c["prior"]) or not isinstance(c["components"], list) or not c["components"]:
             raise ConfigError(f"{where}: expected a numeric prior and a nonempty components list")
         for j, k in enumerate(c["components"]):
             if not isinstance(k, dict) or set(k) != {"weight", "mean", "cov"}:
                 raise ConfigError(f"{where}.components[{j}]: expected an object with exactly weight, mean and cov")
             cov = k["cov"]
-            cov_ok = _is_number(cov) or _is_number_list(cov) or (
+            cov_ok = is_number(cov) or _is_number_list(cov) or (
                 isinstance(cov, list) and all(map(_is_number_list, cov))
             )
-            if not (_is_number(k["weight"]) and _is_number_list(k["mean"]) and cov_ok):
+            if not (is_number(k["weight"]) and _is_number_list(k["mean"]) and cov_ok):
                 raise ConfigError(
                     f"{where}.components[{j}]: weight must be a number, mean a list of numbers, "
                     "cov a number, a list of numbers or a matrix of numbers"
@@ -171,7 +167,7 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("config.train.epochs: expected a nonnegative integer")
     if cfg["sensitivity"]["n"] < 1:
         raise ConfigError("config.sensitivity.n: expected a positive integer")
-    if not all(map(_is_number, cfg["sweep"]["scales"])):
+    if not all(map(is_number, cfg["sweep"]["scales"])):
         raise ConfigError("config.sweep.scales: expected a list of numbers")
     return cfg
 

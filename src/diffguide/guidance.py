@@ -20,9 +20,8 @@ import numpy as np
 from . import classifier as clf
 from . import nn
 from .denoiser import AnalyticDenoiser
-from .rng import check_integer, substream
+from .rng import check_index, check_integer, check_number, substream
 from .schedule import Schedule
-from .synthdata import check_class
 
 
 # -- stabilizers -------------------------------------------------------------
@@ -43,13 +42,13 @@ class StabilizerConfig:
     def __post_init__(self):
         if self.kind not in _STABILIZER_FIELDS:
             raise ValueError(f"unknown stabilizer kind {self.kind!r}")
-        if self.kind == "ema" and not 0.0 <= self.beta < 1.0:
-            raise ValueError("ema beta must lie in [0, 1)")
-        if self.kind == "adam":
-            if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-                raise ValueError("adam betas must lie in [0, 1)")
-            if not (np.isfinite(self.eps) and self.eps > 0.0):
+        for name in _STABILIZER_FIELDS[self.kind]:
+            val = getattr(self, name)
+            check_number(val, f"{self.kind} {name}")
+            if name == "eps" and not (np.isfinite(val) and val > 0.0):
                 raise ValueError("adam eps must be finite and > 0")
+            if name != "eps" and not 0.0 <= val < 1.0:
+                raise ValueError(f"{self.kind} {name} must lie in [0, 1), got {val!r}")
 
     @property
     def label(self) -> str:
@@ -123,6 +122,7 @@ class GuidanceConfig:
     objective: str = "log_softmax"  # log_softmax | logit
 
     def __post_init__(self):
+        check_number(self.scale, "scale")
         if not np.isfinite(self.scale) or self.scale < 0.0:
             raise ValueError("scale must be finite and >= 0")
         if self.path not in _PATHS:
@@ -131,7 +131,7 @@ class GuidanceConfig:
             raise ValueError("jacobian_mode must be 'full' or 'stop_gradient'")
         if self.objective not in nn._OBJECTIVES:
             raise ValueError(f"objective must be one of {nn._OBJECTIVES}")
-        check_class(self.target_class, self.classifier.n_classes, "target_class")
+        check_index(self.target_class, self.classifier.n_classes, "target_class")
 
     @property
     def needs_jacobian(self) -> bool:

@@ -16,7 +16,7 @@ from . import classifier as clf
 from .artifacts import json_text, write_csv
 from .guidance import GuidanceConfig, _run_chains
 from .rng import check_integer, substream
-from .synthdata import GmmSpec, sample_class_points, sample_labeled
+from .synthdata import GmmSpec, check_points, sample_class_points, sample_labeled
 
 _COV_REG = 1e-10
 # sweep CSV columns in file order, with the type each value parses back to
@@ -108,9 +108,7 @@ def evaluate(
     and an overflowed covariance gives an infinite fd.
     """
     check_integer(n_diverged, "n_diverged")
-    X = np.asarray(samples, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != spec.dim:
-        raise ValueError(f"points of shape {X.shape}: expected (n, {spec.dim})")
+    X = check_points(samples, spec.dim)
     if len(X) == 0 and n_diverged == 0:
         raise EmptyBatchError("no samples to evaluate")
     n, d = X.shape

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import check_integer
+from .rng import check_index, check_integer, check_number
 from .schedule import Schedule, forward_sample
-from .synthdata import check_class
+from .synthdata import check_points
 
 _ACTIVATIONS = ("tanh", "softplus")
 _OBJECTIVES = ("log_softmax", "logit")
@@ -81,8 +81,8 @@ def init_mlp(layer_sizes: list[int], activation: str = "tanh", seed: int = 0) ->
     check_integer(seed, "seed")
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    if min(layer_sizes) < 1:
-        raise ValueError(f"layer_sizes must all be >= 1, got {list(layer_sizes)}")
+    for i, size in enumerate(layer_sizes):
+        check_integer(size, f"layer_sizes[{i}]", 1)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -129,17 +129,6 @@ def _derivative_in_place(model: MlpModel, pre, acts, i: int) -> np.ndarray:
     return g
 
 
-def _points(model: MlpModel, x) -> np.ndarray:
-    """x as a float batch (n, d) of the model's input dimension, or
-    ValueError naming its shape. A single point is a batch of one, x[None]."""
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"points of shape {X.shape}: expected (n, {model.input_dim})")
-    if X.shape[1] != model.input_dim:
-        raise ValueError(f"input dim {X.shape[1]} != model dim {model.input_dim}")
-    return X
-
-
 def _block_passes(model: MlpModel, X: np.ndarray):
     """Yield (rows, pre, acts) per chunk of _CHUNK blocks: the chunk's rows
     of X (n, d) zero-padded to whole _BLOCK-row blocks, and its cached pass.
@@ -153,7 +142,7 @@ def _block_passes(model: MlpModel, X: np.ndarray):
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Logits (n, C) for a batch of points (n, d)."""
-    X = _points(model, x)
+    X = check_points(x, model.input_dim)
     logits = np.empty((len(X) + (-len(X) % _BLOCK), model.n_classes))
     for rows, _, acts in _block_passes(model, X):
         logits[rows] = acts[-1].reshape(-1, model.n_classes)
@@ -195,8 +184,8 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
-    X = _points(model, x)
-    check_class(y, model.n_classes, rows=len(X))
+    X = check_points(x, model.input_dim)
+    check_index(y, model.n_classes, "y", rows=len(X))
     n, d = X.shape
     padded = n + (-n % _BLOCK)
     onehot = np.zeros((model.n_classes, padded))  # class-major; padding rows' gradients are dropped
@@ -273,13 +262,12 @@ def train(
     their own seeded stream, so a clean run and a noised run share the same
     shuffling sequence.
     """
-    X = np.asarray(points, dtype=np.float64)
-    check_class(labels, model.n_classes, "label")
+    X = check_points(points, model.input_dim)
+    check_index(labels, model.n_classes, "label")
     ys = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(f"points of shape {X.shape}: expected (n, {model.input_dim})")
-    if len(X) != len(ys):
+    if ys.shape != (len(X),):
         raise ValueError("points and labels disagree in length")
+    check_number(lr, "lr")
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and > 0, got {lr!r}")
     check_integer(epochs, "epochs")

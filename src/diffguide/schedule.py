@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import check_index, check_integer, check_number
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -39,19 +41,8 @@ class Schedule:
 
     def check_steps(self, t) -> None:
         """Raise ValueError unless t is an integer step in 0..T or an integer
-        array of such steps. A negative step would otherwise wrap round to
-        row T; a bool step would index the tables as a mask, and a float
-        step would not index them at all."""
-        if type(t) is int or isinstance(t, np.integer):  # one step, the sampler's case
-            if not 0 <= t <= self.T:
-                raise ValueError(f"step index t={t} outside [0, {self.T}]")
-            return
-        steps = np.asarray(t)
-        if steps.dtype.kind not in "iu":
-            raise ValueError(f"step index t={t!r} is not an integer or an integer array")
-        if steps.size and (steps.min() < 0 or steps.max() > self.T):
-            bad = steps[(steps < 0) | (steps > self.T)].flat[0]
-            raise ValueError(f"step index t={bad} outside [0, {self.T}]")
+        array of such steps (rng.check_index)."""
+        check_index(t, self.T + 1, "step t")
 
 
 _VARIANCE_MODES = ("beta_t", "beta_tilde_t")
@@ -99,8 +90,9 @@ def linear_schedule(
     T: int, beta_start: float, beta_end: float, posterior_variance_mode: str = "beta_t"
 ) -> Schedule:
     """Arithmetic beta progression from beta_start to beta_end over T steps."""
-    if T < 2:
-        raise ValueError(f"T must be >= 2, got {T}")
+    check_integer(T, "T", 2)
+    check_number(beta_start, "beta_start")
+    check_number(beta_end, "beta_end")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
     betas = np.linspace(beta_start, beta_end, T)

@@ -36,9 +36,9 @@ from .artifacts import write_csv
 from .classifier import predict_logits
 from .denoiser import AnalyticDenoiser
 from .guidance import GuidanceConfig, _run_shards, guidance_gradient, init_stabilizer_state, stabilize
-from .rng import check_integer
+from .rng import check_index, check_integer
 from .schedule import forward_sample
-from .synthdata import check_class
+from .synthdata import check_points
 
 _METRICS = ("logit", "gradient", "stabilized_gradient")
 # rows per block of the walk: blocks hold max(1, _BLOCK_ROWS // n) steps
@@ -85,16 +85,14 @@ def curve(
         raise ValueError(f"metric must be one of {_METRICS}")
     check_integer(seed, "seed")
     h, schedule = recipe.classifier, dn.schedule
-    X0 = np.asarray(points, dtype=np.float64)
-    if X0.ndim != 2 or X0.shape[1] != dn.dim:
-        raise ValueError(f"points of shape {X0.shape}: expected (n, {dn.dim})")
+    X0 = check_points(points, dn.dim)
     n, d = X0.shape
     if n < 1:
         raise ValueError("a sensitivity curve needs at least one point")
     ys = np.asarray(labels)
     if ys.shape != (n,) or ys.dtype.kind not in "iu":
         raise ValueError(f"labels must be {n} integers, one per point; got {ys.dtype} of shape {ys.shape}")
-    check_class(ys, h.n_classes, "label")
+    check_index(ys, h.n_classes, "label")
     T = schedule.T
     # one draw before the shards: a shard that drew its own would walk other noise
     eps = np.random.default_rng(seed).standard_normal((n, d))

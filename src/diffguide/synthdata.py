@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .rng import check_integer
+from .rng import check_index, check_integer
 
 _PROB_TOL = 1e-12
 
@@ -171,7 +171,7 @@ def sample_labeled(spec: GmmSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_class_points(spec: GmmSpec, y: int, n: int, rng) -> np.ndarray:
     """Draw n points from class y's mixture using the supplied generator."""
-    check_class(y, spec.n_classes)
+    check_index(y, spec.n_classes, "y")
     return _sample_class(spec.classes[y], n, rng)
 
 
@@ -203,24 +203,13 @@ def pooled_components(spec: GmmSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
 _EIG_FLOOR = 1e-12
 
 
-def check_class(y, n_classes: int, name: str = "y", rows: int | None = None) -> None:
-    """Raise ValueError unless y is an integer class in [0, n_classes) or an
-    integer array of such classes, one per row when rows is given. A negative
-    class would otherwise wrap round to the last one, a float would truncate
-    and a bool would index as a mask. One class, the sampler's case, costs a
-    comparison and no array."""
-    if type(y) is int or isinstance(y, np.integer):
-        if not 0 <= y < n_classes:
-            raise ValueError(f"{name} must be an integer class in [0, {n_classes}), got {y!r}")
-        return
-    ys = np.asarray(y)
-    if rows is not None and ys.ndim and ys.shape != (rows,):
-        raise ValueError(f"{name} of shape {ys.shape}: expected one class, or {rows} classes, one per row")
-    if ys.dtype.kind not in "iu":
-        got = repr(y) if ys.ndim == 0 else f"{ys.dtype} of shape {ys.shape}"
-        raise ValueError(f"{name} must be an integer class in [0, {n_classes}), got {got}")
-    if ys.size and (ys.min() < 0 or ys.max() >= n_classes):
-        raise ValueError(f"{name} {ys[(ys < 0) | (ys >= n_classes)].flat[0]} outside [0, {n_classes})")
+def check_points(x, dim: int) -> np.ndarray:
+    """x as a float batch (n, dim), or ValueError naming its shape. A single
+    point is a batch of one, x[None]."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"points of shape {X.shape}: expected (n, {dim})")
+    return X
 
 
 def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
@@ -298,8 +287,7 @@ class ComponentTables:
         component's log joint log w_k + log N(x; sqrt(ab) mu_k, S_k) (s, K, n),
         at a 1-D array of s table rows, for step-major points X (s n, d) of the
         spec's dimension d, or ValueError."""
-        if X.shape[1:] != self.means.shape[1:]:
-            raise ValueError(f"points of shape {X.shape}: expected (n, {self.means.shape[1]}), one point per row")
+        X = check_points(X, self.means.shape[1])
         if len(rows) == 0 or len(X) % len(rows):
             raise ValueError(f"{len(X)} rows do not split into {len(rows)} steps")
         marg = self.marg[rows]

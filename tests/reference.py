@@ -23,9 +23,9 @@ from diffguide.classifier import ClassifierHandle, predict_logits
 from diffguide.denoiser import AnalyticDenoiser
 from diffguide.guidance import GuidanceConfig, guidance_gradient, init_stabilizer_state, stabilize
 from diffguide.nn import MlpModel
-from diffguide.rng import substream
+from diffguide.rng import check_index, substream
 from diffguide.schedule import Schedule, forward_sample
-from diffguide.synthdata import GmmSpec, LabeledDataset, check_class
+from diffguide.synthdata import GmmSpec, LabeledDataset
 
 
 # -- pipeline conveniences -----------------------------------------------------
@@ -251,7 +251,7 @@ def sensitivity_walk(
 
 def log_class_density(spec: GmmSpec, y: int, x) -> np.ndarray | float:
     """log sum_k w_k N(x; mu_k, Sigma_k) for class y, stable for small values."""
-    check_class(y, spec.n_classes)
+    check_index(y, spec.n_classes, "y")
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x

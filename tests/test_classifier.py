@@ -289,15 +289,15 @@ def _rows_near_and_far(spec, seed):
 @pytest.mark.parametrize(
     "y, message",
     [
-        (-1, r"y must be an integer class in \[0, 2\), got -1"),
-        (2, r"y must be an integer class in \[0, 2\), got 2"),
-        (0.5, r"y must be an integer class in \[0, 2\), got 0.5"),
-        (True, r"y must be an integer class in \[0, 2\), got True"),
+        (-1, r"y -1 outside \[0, 2\)"),
+        (2, r"y 2 outside \[0, 2\)"),
+        (0.5, r"y must be an integer in \[0, 2\), got 0.5"),
+        (True, r"y must be an integer in \[0, 2\), got True"),
         (np.array([0, -1, 1]), r"y -1 outside \[0, 2\)"),
-        (np.array([0.0, 1.0, 1.0]), r"y must be an integer class in \[0, 2\), got float64 of shape \(3,\)"),
-        (np.array([0, 1]), r"y of shape \(2,\): expected one class, or 3 classes, one per row"),
-        (np.array([0, 1, 1, 0]), r"y of shape \(4,\): expected one class, or 3 classes, one per row"),
-        (np.zeros((3, 1), dtype=np.int64), r"y of shape \(3, 1\): expected one class, or 3 classes, one per row"),
+        (np.array([0.0, 1.0, 1.0]), r"y must be an integer in \[0, 2\), got float64 of shape \(3,\)"),
+        (np.array([0, 1]), r"y of shape \(2,\): expected one value, or 3 values, one per row"),
+        (np.array([0, 1, 1, 0]), r"y of shape \(4,\): expected one value, or 3 values, one per row"),
+        (np.zeros((3, 1), dtype=np.int64), r"y of shape \(3, 1\): expected one value, or 3 values, one per row"),
     ],
     ids=["negative", "too-large", "fraction", "bool", "negative-row", "float-rows", "short", "long", "column"],
 )

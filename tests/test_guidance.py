@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +64,28 @@ def test_adam_refuses_an_eps_that_is_not_finite_and_positive(eps):
     # eps = inf divided every update to zero: guidance off
     with pytest.raises(ValueError, match="adam eps must be finite and > 0"):
         adam(eps=eps)
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("ema", "beta", False), ("ema", "beta", "0.5"), ("adam", "beta1", None),
+        ("adam", "beta2", True), ("adam", "eps", "x"),
+    ],
+    ids=["ema-bool", "ema-string", "adam-none", "adam-bool", "eps-string"],
+)
+def test_stabilizer_fields_must_be_numbers(kind, field, value):
+    # beta=False ran ema(0); a string or None raised a TypeError from a comparison
+    message = rf"^{kind} {field} must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        StabilizerConfig(kind, **{field: value})
+
+
+@pytest.mark.parametrize("value", [True, "2", None], ids=["bool", "string", "none"])
+def test_guidance_scale_must_be_a_number(h_oracle, value):
+    # scale=True ran as scale 1; "2" and None raised a TypeError from np.isfinite
+    with pytest.raises(ValueError, match=rf"^scale must be a real number, got {re.escape(repr(value))}$"):
+        GuidanceConfig(classifier=h_oracle, target_class=0, scale=value)
 
 
 def test_adam_fixed_point_is_sign():
@@ -168,7 +191,11 @@ def test_guidance_config_refuses_a_target_outside_the_classes(request, persona, 
     # both personas have 2 classes; -1 would wrap round to class 1 in the one-hot and the oracle's rows
     h = request.getfixturevalue(persona)
     assert h.n_classes == 2
-    with pytest.raises(ValueError, match=r"target_class must be an integer class in \[0, 2\)"):
+    if type(target) is int:
+        message = rf"target_class {target} outside \[0, 2\)"
+    else:
+        message = rf"target_class must be an integer in \[0, 2\), got {re.escape(repr(target))}"
+    with pytest.raises(ValueError, match=message):
         GuidanceConfig(classifier=h, target_class=target)
     assert GuidanceConfig(classifier=h, target_class=np.int64(1)).target_class == 1
 

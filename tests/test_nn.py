@@ -64,11 +64,11 @@ def test_forward_batch_matches_single():
 
 def test_forward_dimension_check():
     m = init_mlp([2, 4, 2], seed=0)
-    with pytest.raises(ValueError, match="input dim 3 != model dim 2"):
+    with pytest.raises(ValueError, match=r"points of shape \(1, 3\): expected \(n, 2\)"):
         forward(m, np.zeros((1, 3)))
     # the input gradient runs the same check and rejects with the same message
     for x in (np.zeros((1, 3)), np.zeros((5, 3))):
-        with pytest.raises(ValueError, match="input dim 3 != model dim 2"):
+        with pytest.raises(ValueError, match=rf"points of shape \({len(x)}, 3\): expected \(n, 2\)"):
             input_gradient(m, x, 0)
 
 
@@ -269,7 +269,7 @@ def test_zero_epochs_leaves_model_unchanged(train_ds):
     "labels, message",
     [
         ([0, 1, -1, 1], r"label -1 outside \[0, 2\)"),
-        ([0, 1, 0.5, 1], r"label must be an integer class in \[0, 2\), got float64"),
+        ([0, 1, 0.5, 1], r"label must be an integer in \[0, 2\), got float64 of shape \(4,\)"),
     ],
     ids=["negative", "fraction"],
 )
@@ -312,10 +312,35 @@ def test_train_refuses_a_learning_rate_that_is_not_finite_and_positive(lr):
         train(init_mlp([2, 8, 2], seed=3), np.zeros((4, 2)), [0, 1, 0, 1], epochs=1, lr=lr)
 
 
+@pytest.mark.parametrize("labels", [1, np.zeros((4, 1), dtype=np.int64), [0, 1, 0]], ids=["scalar", "column", "short"])
+def test_train_refuses_labels_that_are_not_one_per_point(labels):
+    # a scalar label raised a TypeError from len(), and a (4, 1) column one from the loss
+    with pytest.raises(ValueError, match="points and labels disagree in length"):
+        train(init_mlp([2, 8, 2], seed=3), np.zeros((4, 2)), labels, epochs=1)
+
+
+@pytest.mark.parametrize("lr", [True, "0.1", None], ids=["bool", "string", "none"])
+def test_train_refuses_a_learning_rate_that_is_not_a_number(lr):
+    # lr=True trained at lr 1; "0.1" and None raised a TypeError from np.isfinite
+    with pytest.raises(ValueError, match=rf"^lr must be a real number, got {re.escape(repr(lr))}$"):
+        train(init_mlp([2, 8, 2], seed=3), np.zeros((4, 2)), [0, 1, 0, 1], epochs=1, lr=lr)
+
+
+@pytest.mark.parametrize(
+    "size", [2.5, 2.0, True, np.float64(3.0)], ids=["fraction", "whole-float", "bool", "np-float"]
+)
+def test_init_mlp_refuses_a_layer_size_that_is_not_an_integer(size):
+    # 2.5 and True raised a TypeError inside numpy
+    message = rf"^layer_sizes\[1\] must be an integer >= 1, got {re.escape(repr(size))}$"
+    with pytest.raises(ValueError, match=message):
+        init_mlp([2, size, 2])
+
+
 @pytest.mark.parametrize("sizes", [[2, 0, 2], [2, 8, -1], [0, 2]])
 def test_init_mlp_refuses_a_layer_below_one_unit(sizes):
     # [2, 0, 2] warned of a division by zero, then raised an OverflowError
-    with pytest.raises(ValueError, match=r"layer_sizes must all be >= 1"):
+    bad = min(range(len(sizes)), key=sizes.__getitem__)
+    with pytest.raises(ValueError, match=rf"layer_sizes\[{bad}\] must be an integer >= 1, got {sizes[bad]}"):
         init_mlp(sizes)
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -90,6 +91,24 @@ def test_forward_sample_step_per_row_equals_per_step_calls(betas):
         forward_sample(sch, x0, ts[:-1], eps)
 
 
+@pytest.mark.parametrize(
+    "T", [2.5, 3.0, True, np.float64(4.0), 1], ids=["fraction", "whole-float", "bool", "np-float", "one"]
+)
+def test_linear_schedule_refuses_a_length_that_is_not_an_integer_of_at_least_two(T):
+    # 2.5 and 3.0 raised a TypeError from np.linspace
+    with pytest.raises(ValueError, match=rf"^T must be an integer >= 2, got {re.escape(repr(T))}$"):
+        linear_schedule(T, 1e-4, 0.02)
+
+
+@pytest.mark.parametrize("name", ["beta_start", "beta_end"])
+@pytest.mark.parametrize("value", ["0.01", None, True], ids=["string", "none", "bool"])
+def test_linear_schedule_refuses_betas_that_are_not_numbers(name, value):
+    # a string or None raised a TypeError from the range comparison
+    betas = {"beta_start": 1e-4, "beta_end": 0.02, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        linear_schedule(10, **betas)
+
+
 def test_forward_sample_near_identity_at_t1(schedule400):
     x0 = np.array([2.0, 0.0])
     eps = np.array([0.6, 0.8])  # unit norm
@@ -111,7 +130,7 @@ def test_forward_sample_dimension_mismatch(schedule400):
         forward_sample(schedule400, np.zeros(2), 10, np.zeros(3))
     # t = 0 is clean data; a negative step must not wrap round to row T
     for t in (-1, 401, np.array([3, -1]), np.array([401, 3])):
-        with pytest.raises(ValueError, match=r"step index t=(-1|401) outside \[0, 400\]"):
+        with pytest.raises(ValueError, match=r"step t (-1|401) outside \[0, 401\)"):
             forward_sample(schedule400, np.zeros((2, 2)), t, np.zeros((2, 2)))
 
 
@@ -209,7 +228,7 @@ def test_reverse_coefficients_range(schedule400):
     schedule400.check_steps(0)
     schedule400.check_steps(np.array([0, 400, 7]))
     for t in (-1, 401, np.array([5, -1, 7]), np.array([5, 401, 7])):
-        with pytest.raises(ValueError, match=r"outside \[0, 400\]"):
+        with pytest.raises(ValueError, match=r"step t (-1|401) outside \[0, 401\)"):
             schedule400.check_steps(t)
 
 
@@ -220,10 +239,11 @@ def test_reverse_coefficients_range(schedule400):
 )
 def test_non_integer_steps_are_refused(schedule400, t):
     # unchecked, a bool step would index the tables as a mask and a float step would not index them
-    with pytest.raises(ValueError, match=r"step index t=.* is not an integer"):
+    message = r"step t must be an integer in \[0, 401\), got "
+    with pytest.raises(ValueError, match=message):
         schedule400.check_steps(t)
     rows = np.zeros((np.size(t), 2))
-    with pytest.raises(ValueError, match="is not an integer"):
+    with pytest.raises(ValueError, match=message):
         forward_sample(schedule400, rows, t, rows)
 
 
@@ -236,7 +256,7 @@ def test_integer_steps_of_every_kind_pass(schedule400):
         schedule400.check_steps(np.array([0, 400, 7], dtype=dtype))
     schedule400.check_steps(np.array([], dtype=np.int64))
     for t in (np.int64(401), np.int32(-1), np.array([2, 401], dtype=np.uint16)):
-        with pytest.raises(ValueError, match=r"outside \[0, 400\]"):
+        with pytest.raises(ValueError, match=r"step t (-1|401) outside \[0, 401\)"):
             schedule400.check_steps(t)
 
 

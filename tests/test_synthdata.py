@@ -188,7 +188,11 @@ def test_sample_class_points_only_that_class():
 )
 def test_sample_class_points_refuses_a_class_that_is_not_an_integer_class(y):
     # unchecked, a bool would index class 1 and a float would not index the classes at all
-    with pytest.raises(ValueError, match="y must be an integer class in"):
+    if type(y) is int:
+        message = rf"y {y} outside \[0, 2\)"
+    else:
+        message = rf"y must be an integer in \[0, 2\), got {re.escape(repr(y))}"
+    with pytest.raises(ValueError, match=message):
         sample_class_points(two_class_benchmark(), y, 10, np.random.default_rng(5))
 
 
