@@ -25,7 +25,7 @@ from . import nn
 from . import sensitivity as sens
 from .artifacts import json_text, write_csv
 from .denoiser import AnalyticDenoiser
-from .rng import is_number, substream_seed
+from .rng import check_index, check_integer, is_number, substream_seed
 from .schedule import linear_schedule
 from .synthdata import (
     GmmSpec,
@@ -112,8 +112,8 @@ def _check_classes(classes: list) -> None:
         where = f"config.data.classes[{i}]"
         if not isinstance(c, dict) or set(c) != {"prior", "components"}:
             raise ConfigError(f"{where}: expected an object with exactly prior and components")
-        if not is_number(c["prior"]) or not isinstance(c["components"], list) or not c["components"]:
-            raise ConfigError(f"{where}: expected a numeric prior and a nonempty components list")
+        if not isinstance(c["components"], list) or not c["components"]:
+            raise ConfigError(f"{where}: expected a nonempty components list")
         for j, k in enumerate(c["components"]):
             if not isinstance(k, dict) or set(k) != {"weight", "mean", "cov"}:
                 raise ConfigError(f"{where}.components[{j}]: expected an object with exactly weight, mean and cov")
@@ -121,9 +121,9 @@ def _check_classes(classes: list) -> None:
             cov_ok = is_number(cov) or _is_number_list(cov) or (
                 isinstance(cov, list) and all(map(_is_number_list, cov))
             )
-            if not (is_number(k["weight"]) and _is_number_list(k["mean"]) and cov_ok):
+            if not (_is_number_list(k["mean"]) and cov_ok):
                 raise ConfigError(
-                    f"{where}.components[{j}]: weight must be a number, mean a list of numbers, "
+                    f"{where}.components[{j}]: mean must be a list of numbers, "
                     "cov a number, a list of numbers or a matrix of numbers"
                 )
 
@@ -153,20 +153,16 @@ def validate_config(raw: dict) -> dict:
         if preset not in _PRESETS:
             raise ConfigError(f"unknown data preset {preset!r}")
         n_classes = _PRESETS[preset]().n_classes
-    target = cfg["guidance"]["target_class"]
-    if not 0 <= target < n_classes:
-        raise ConfigError(f"config.guidance.target_class: {target} outside [0, {n_classes})")
+    check_index(cfg["guidance"]["target_class"], n_classes, "config.guidance.target_class")
     train = cfg["train"]
-    if not all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in train["hidden"]):
-        raise ConfigError("config.train.hidden: expected a list of positive integers")
+    for i, h in enumerate(train["hidden"]):
+        check_integer(h, f"config.train.hidden[{i}]", 1)
     if not (np.isfinite(train["lr"]) and train["lr"] > 0):
         raise ConfigError("config.train.lr: expected a finite number > 0")
-    if train["batch_size"] < 1:
-        raise ConfigError("config.train.batch_size: expected a positive integer")
-    if train["epochs"] < 0:
-        raise ConfigError("config.train.epochs: expected a nonnegative integer")
-    if cfg["sensitivity"]["n"] < 1:
-        raise ConfigError("config.sensitivity.n: expected a positive integer")
+    check_integer(train["epochs"], "config.train.epochs")
+    for where in ("data.n_train", "data.n_val", "train.batch_size", "sample.n", "sensitivity.n", "sweep.n_per_scale"):
+        section, key = where.split(".")
+        check_integer(cfg[section][key], f"config.{where}", 1)
     if not all(map(is_number, cfg["sweep"]["scales"])):
         raise ConfigError("config.sweep.scales: expected a list of numbers")
     return cfg
@@ -188,9 +184,9 @@ def load_config(path: str | None, seed_override: int | None = None) -> tuple[dic
             raise ConfigError(f"cannot read config {path}: {e}") from e
     cfg = validate_config(raw)
     if seed_override is not None:
+        check_integer(seed_override, "--seed")
         cfg["seed"] = int(seed_override)
-    if cfg["seed"] < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    check_integer(cfg["seed"], "config.seed")
     return cfg, config_hash(cfg)
 
 
@@ -212,8 +208,7 @@ def build_spec(cfg: dict) -> GmmSpec:
 
 
 def build_schedule(cfg: dict):
-    s = cfg["schedule"]
-    return linear_schedule(s["T"], s["beta_start"], s["beta_end"], s["posterior_variance_mode"])
+    return linear_schedule(**cfg["schedule"])
 
 
 def build_stabilizer(node, where: str) -> gd.StabilizerConfig:
@@ -233,8 +228,8 @@ def _file_tag(stab: gd.StabilizerConfig) -> str:
     return stab.label.translate(str.maketrans({"(": "-", ")": "", ",": "-"}))
 
 
-def _seed(cfg: dict, label: str, index: int = 0) -> int:
-    return int(substream_seed(cfg["seed"], label, index).generate_state(1)[0])
+def _seed(cfg: dict, label: str) -> int:
+    return int(substream_seed(cfg["seed"], label).generate_state(1)[0])
 
 
 def _dataset(cfg: dict, spec: GmmSpec, part: str) -> LabeledDataset:
@@ -275,15 +270,8 @@ def _load_classifier(cfg: dict, out: Path, spec: GmmSpec) -> clf.ClassifierHandl
 
 def build_guidance_config(cfg: dict, handle: clf.ClassifierHandle) -> gd.GuidanceConfig:
     g = cfg["guidance"]
-    return gd.GuidanceConfig(
-        classifier=handle,
-        target_class=g["target_class"],
-        scale=float(g["scale"]),
-        path=g["path"],
-        jacobian_mode=g["jacobian_mode"],
-        stabilizer=build_stabilizer(g["stabilizer"], "config.guidance.stabilizer"),
-        objective=g["objective"],
-    )
+    stab = build_stabilizer(g["stabilizer"], "config.guidance.stabilizer")
+    return gd.GuidanceConfig(**{**g, "classifier": handle, "scale": float(g["scale"]), "stabilizer": stab})
 
 
 def _guided_setup(cfg: dict, out: Path) -> tuple[AnalyticDenoiser, gd.GuidanceConfig]:

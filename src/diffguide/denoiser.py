@@ -35,8 +35,6 @@ class AnalyticDenoiser:
         self.schedule = schedule
         # one table row per step t = 0..T, like the schedule's
         self.tables = tb = ComponentTables(spec, schedule.alpha_bar)
-        if abs(tb.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("pooled component weights must sum to 1")
         self.dim = tb.means.shape[1]
         # A_k = sqrt(ab) Sigma_k S_k^{-1}, the responsibility-weighted part of
         # the Jacobian, laid out (row, d, d, K, 1) like the tables

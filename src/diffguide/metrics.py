@@ -153,8 +153,8 @@ def sweep(
     batch diverges entirely still yields a row, with NaN metrics and a full
     diverged count.
     """
-    # replace checks each scale as GuidanceConfig checks its own
-    scales = [replace(base_cfg, scale=float(s)).scale for s in scales]
+    # replace checks each scale as given, as GuidanceConfig checks its own
+    scales = [float(replace(base_cfg, scale=s).scale) for s in scales]
     if not scales:
         raise ValueError("scales must be nonempty")
     batch = _run_chains(dn, schedule, base_cfg, scales, n_per_scale, seed)

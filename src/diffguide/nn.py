@@ -165,10 +165,12 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax_target(logits, y) -> np.ndarray:
-    """log p(y) (n,) under the softmax of logits (n, C), max-shifted for stability."""
+    """log p(y) (n,) under the softmax of logits (n, C), max-shifted for
+    stability; y is one class, or one per row."""
     ls = log_softmax(logits)
     if ls.ndim != 2:
         raise ValueError(f"logits of shape {ls.shape}: expected (n, C)")
+    check_index(y, ls.shape[1], "y", rows=len(ls))
     return np.take_along_axis(ls, np.asarray(y).reshape(-1, 1), axis=1)[:, 0]
 
 

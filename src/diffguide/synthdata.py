@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .rng import check_index, check_integer
+from .rng import check_index, check_integer, check_number
 
 _PROB_TOL = 1e-12
 
@@ -98,18 +98,20 @@ def make_spec(classes: list[tuple[float, list[tuple[float, list, np.ndarray]]]])
             min_var = min(min_var, lam)
             mean.setflags(write=False)
             cov.setflags(write=False)
+            check_number(weight, "component weight")
             if weight < 0.0:
                 raise ValueError(f"component weight {weight} is negative")
             frozen_comps.append(Component(float(weight), mean, cov))
         wsum = sum(c.weight for c in frozen_comps)
         if not abs(wsum - 1.0) <= _PROB_TOL:  # NaN fails too
-            raise ValueError(f"component weights sum to {wsum}, expected 1")
+            raise ValueError(f"component weight sum is {wsum}, expected 1")
+        check_number(prior, "class prior")
         if prior < 0.0:
             raise ValueError(f"class prior {prior} is negative")
         built.append(ClassSpec(float(prior), tuple(frozen_comps)))
     psum = sum(c.prior for c in built)
     if not abs(psum - 1.0) <= _PROB_TOL:
-        raise ValueError(f"class priors sum to {psum}, expected 1")
+        raise ValueError(f"class prior sum is {psum}, expected 1")
     # a log joint divides a squared offset from a mean by a variance of at
     # least min(lambda, 1); offsets between means, and from the origin where
     # chains start, must leave it finite

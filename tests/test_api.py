@@ -138,6 +138,11 @@ def _dataset(env, n=4, seed=0):
     return _bits(data.points, data.labels)
 
 
+def _spec(prior=1.0, weight=1.0):
+    spec = diffguide.make_spec([(prior, [(weight, [0.0, 0.0], 1.0)])])
+    return _bits(spec.priors(), spec.classes[0].components[0].weight)
+
+
 def _schedule(T=10, beta_start=0.01, beta_end=0.5):
     return _bits(diffguide.linear_schedule(T, beta_start, beta_end).alpha_bar)
 
@@ -155,6 +160,8 @@ def _sweep(env, seed):
 _SCALAR_ARGS = {
     ("sample_dataset", "n"): (True, lambda env, v: _dataset(env, n=v)),
     ("sample_dataset", "seed"): (True, lambda env, v: _dataset(env, seed=v)),
+    ("make_spec", "prior"): (False, lambda env, v: _spec(prior=v)),
+    ("make_spec", "weight"): (False, lambda env, v: _spec(weight=v)),
     ("linear_schedule", "T"): (True, lambda env, v: _schedule(T=v)),
     ("linear_schedule", "beta_start"): (False, lambda env, v: _schedule(beta_start=v)),
     ("linear_schedule", "beta_end"): (False, lambda env, v: _schedule(beta_end=v)),
@@ -212,7 +219,8 @@ def _outcome(env, call, v):
 def test_every_public_scalar_argument_fails_closed(spec2, small_denoiser, h_oracle, entry_arg, v):
     # scale=True ran as scale 1, lr=True trained at lr 1 and beta=False ran
     # ema(0); a string or None raised a TypeError inside numpy, as did
-    # linear_schedule(2.5, ...) and init_mlp([2, 2.5, 2])
+    # linear_schedule(2.5, ...) and init_mlp([2, 2.5, 2]); make_spec ran a
+    # True prior or weight as 1.0
     data = diffguide.sample_dataset(spec2, 8, 3)
     ema = diffguide.StabilizerConfig("ema", beta=0.9)
     env = types.SimpleNamespace(

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import inspect
 import json
 import tempfile
 from pathlib import Path
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from diffguide.classifier import bayes_oracle
 from diffguide.cli import (
+    _CONFIG,
     EXIT_ALL_DIVERGED,
     EXIT_CONFIG,
     EXIT_OK,
@@ -26,6 +29,7 @@ from diffguide.cli import (
 )
 from diffguide.denoiser import AnalyticDenoiser
 from diffguide.guidance import GuidanceConfig
+from diffguide.schedule import linear_schedule
 from diffguide.sensitivity import curve, save_curve_csv
 
 SMALL = {
@@ -96,6 +100,19 @@ def test_validate_config_fills_defaults():
     assert cfg["schedule"]["T"] == default_config()["schedule"]["T"]
     with pytest.raises(ConfigError):
         validate_config({"guidance": {"stabilizer": {"window": 3}}})
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1], ids=["fraction", "bool", "negative"])
+def test_a_seed_override_that_is_not_an_integer_is_refused(seed):
+    # int() once ran 1.5 and True as seed 1
+    with pytest.raises(ValueError, match=rf"^--seed must be an integer >= 0, got {seed!r}$"):
+        load_config(None, seed)
+
+
+def test_config_sections_are_their_library_calls_arguments_by_name():
+    # build_schedule and build_guidance_config hand these sections over by name
+    assert list(_CONFIG["schedule"]) == list(inspect.signature(linear_schedule).parameters)
+    assert set(_CONFIG["guidance"]) == {f.name for f in dataclasses.fields(GuidanceConfig)}
 
 
 def test_config_hash_semantics():
@@ -452,27 +469,110 @@ def _signed_mixture(priors, weights0):
 
 
 @pytest.mark.parametrize(
-    "raw, argv",
+    "raw, argv, says",
     [
-        ({"data": {"classes": [{"prior": 1}]}}, ["gen-data"]),
-        ({"guidance": {"classifier": "bayes_oracle", "target_class": 5}}, ["sample"]),
-        ({"train": {"hidden": ["a"]}}, ["train", "--persona", "non_robust"]),
-        (_two_class_mixture(0.5, [float("nan"), 0.0]), ["gen-data"]),
-        ({**_two_class_mixture(float("nan"), [-1.0, 0.0]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
-        ({"guidance": {"classifier": "bayes_oracle", "objective": "bogus"}}, ["sample"]),
-        (_two_class_mixture(0.5, [1e308, 0.0]), ["gen-data"]),
-        ({**_two_class_mixture(0.5, [1e308, 0.0]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
-        ({"guidance": {"classifier": "bayes_oracle"}, "sensitivity": {"n": 0}}, ["sensitivity"]),
-        ({"guidance": {"classifier": "bayes_oracle"}, "sensitivity": {"n": -1990}}, ["sensitivity"]),
-        ({"train": {"lr": -1.0}}, ["train", "--persona", "non_robust"]),
-        ({"train": {"lr": 0}}, ["train", "--persona", "robust"]),
-        ({"train": {"lr": float("nan")}}, ["train", "--persona", "non_robust"]),
-        ({"train": {"lr": float("inf")}}, ["train", "--persona", "non_robust"]),
-        ({"train": {"batch_size": 0}}, ["train", "--persona", "non_robust"]),
-        ({"train": {"epochs": -1}}, ["train", "--persona", "robust"]),
-        ({"data": {**_two_class_mixture(0.5, [-1.0, 0.0])["data"], "preset": "three_class"}}, ["gen-data"]),
-        ({**_signed_mixture([-0.5, 1.5], [1.0]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
-        ({**_signed_mixture([0.5, 0.5], [1.5, -0.5]), "guidance": {"classifier": "bayes_oracle"}}, ["sample"]),
+        ({"data": {"classes": [{"prior": 1}]}}, ["gen-data"], "config.data.classes[0]: expected an object"),
+        (
+            {"guidance": {"classifier": "bayes_oracle", "target_class": 5}},
+            ["sample"],
+            "config.guidance.target_class 5 outside [0, 2)",
+        ),
+        (
+            {"train": {"hidden": ["a"]}},
+            ["train", "--persona", "non_robust"],
+            "config.train.hidden[0] must be an integer >= 1, got 'a'",
+        ),
+        (_two_class_mixture(0.5, [float("nan"), 0.0]), ["gen-data"], "component mean and covariance must be finite"),
+        (
+            {**_two_class_mixture(float("nan"), [-1.0, 0.0]), "guidance": {"classifier": "bayes_oracle"}},
+            ["sample"],
+            "class prior sum is nan",
+        ),
+        ({"guidance": {"classifier": "bayes_oracle", "objective": "bogus"}}, ["sample"], "objective must be one of"),
+        (_two_class_mixture(0.5, [1e308, 0.0]), ["gen-data"], "component means are too far apart"),
+        (
+            {**_two_class_mixture(0.5, [1e308, 0.0]), "guidance": {"classifier": "bayes_oracle"}},
+            ["sample"],
+            "component means are too far apart",
+        ),
+        (
+            {"guidance": {"classifier": "bayes_oracle"}, "sensitivity": {"n": 0}},
+            ["sensitivity"],
+            "config.sensitivity.n must be an integer >= 1, got 0",
+        ),
+        (
+            {"guidance": {"classifier": "bayes_oracle"}, "sensitivity": {"n": -1990}},
+            ["sensitivity"],
+            "config.sensitivity.n must be an integer >= 1, got -1990",
+        ),
+        (
+            {"train": {"lr": -1.0}},
+            ["train", "--persona", "non_robust"],
+            "config.train.lr: expected a finite number > 0",
+        ),
+        ({"train": {"lr": 0}}, ["train", "--persona", "robust"], "config.train.lr: expected a finite number > 0"),
+        (
+            {"train": {"lr": float("nan")}},
+            ["train", "--persona", "non_robust"],
+            "config.train.lr: expected a finite number > 0",
+        ),
+        (
+            {"train": {"lr": float("inf")}},
+            ["train", "--persona", "non_robust"],
+            "config.train.lr: expected a finite number > 0",
+        ),
+        (
+            {"train": {"batch_size": 0}},
+            ["train", "--persona", "non_robust"],
+            "config.train.batch_size must be an integer >= 1, got 0",
+        ),
+        (
+            {"train": {"epochs": -1}},
+            ["train", "--persona", "robust"],
+            "config.train.epochs must be an integer >= 0, got -1",
+        ),
+        (
+            {"data": {**_two_class_mixture(0.5, [-1.0, 0.0])["data"], "preset": "three_class"}},
+            ["gen-data"],
+            "config.data: names both preset and classes",
+        ),
+        (
+            {**_signed_mixture([-0.5, 1.5], [1.0]), "guidance": {"classifier": "bayes_oracle"}},
+            ["sample"],
+            "class prior -0.5 is negative",
+        ),
+        (
+            {**_signed_mixture([0.5, 0.5], [1.5, -0.5]), "guidance": {"classifier": "bayes_oracle"}},
+            ["sample"],
+            "component weight -0.5 is negative",
+        ),
+        ({"seed": -1}, ["gen-data"], "config.seed must be an integer >= 0, got -1"),
+        (
+            {"train": {"hidden": [0]}},
+            ["train", "--persona", "non_robust"],
+            "config.train.hidden[0] must be an integer >= 1, got 0",
+        ),
+        (
+            {"train": {"hidden": [64, True]}},
+            ["train", "--persona", "robust"],
+            "config.train.hidden[1] must be an integer >= 1, got True",
+        ),
+        (_signed_mixture([True, 0.0], [1.0]), ["gen-data"], "class prior must be a real number, got True"),
+        (
+            {**_signed_mixture([0.5, 0.5], ["1"]), "guidance": {"classifier": "bayes_oracle"}},
+            ["sample"],
+            "component weight must be a real number, got '1'",
+        ),
+        (
+            {"data": {"n_val": 0}},
+            ["train", "--persona", "non_robust"],
+            "config.data.n_val must be an integer >= 1, got 0",
+        ),
+        (
+            {"guidance": {"classifier": "bayes_oracle"}, "sweep": {"n_per_scale": 0}},
+            ["sample"],
+            "config.sweep.n_per_scale must be an integer >= 1, got 0",
+        ),
     ],
     ids=[
         "mixture-without-components",
@@ -494,14 +594,21 @@ def _signed_mixture(priors, weights0):
         "preset-and-classes",
         "negative-prior-oracle-sample",
         "negative-weight-oracle-sample",
+        "negative-seed",
+        "zero-hidden-size",
+        "bool-hidden-size",
+        "bool-prior",
+        "string-weight-oracle-sample",
+        "zero-validation-points-train",
+        "zero-sweep-chains-sample",
     ],
 )
-def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv):
+def test_invalid_config_fails_closed(tmp_path, capsys, raw, argv, says):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**SMALL, **raw}))
     assert _run("--config", str(path), "--out", str(tmp_path / "run"), *argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "config error" in err
+    assert f"config error: {says}" in err
     assert "Traceback" not in err
     for field in raw.get("train", {}):
         assert f"config.train.{field}" in err  # the message names the field

@@ -34,6 +34,18 @@ def test_posterior_mean_identity_limit():
     assert dn.posterior_mean_x0(x, 1)[0, 0] == pytest.approx(0.73, abs=1e-9)
 
 
+def test_every_mixture_make_spec_accepts_builds_a_denoiser():
+    # priors and weights each 0.9e-12 short of 1 pool to 1.8e-12 short, which
+    # the denoiser once refused; responsibilities are normalised per point
+    short = 0.5 - 0.9e-12
+    spec = make_spec([(0.5, [(0.5, [-1.0, 0.0], 0.1), (short, [-1.0, 1.0], 0.1)]), (short, [(1.0, [1.0, 0.0], 0.1)])])
+    exact = make_spec([(0.5, [(0.5, [-1.0, 0.0], 0.1), (0.5, [-1.0, 1.0], 0.1)]), (0.5, [(1.0, [1.0, 0.0], 0.1)])])
+    schedule = linear_schedule(20, 1e-4, 0.05)
+    X = np.random.default_rng(5).standard_normal((7, 2))
+    got = AnalyticDenoiser(spec, schedule).posterior_mean_x0(X, 10)
+    np.testing.assert_allclose(got, AnalyticDenoiser(exact, schedule).posterior_mean_x0(X, 10), rtol=0, atol=1e-10)
+
+
 def test_posterior_mean_pure_noise_limit(spec2, schedule400):
     # alpha_bar -> 0: posterior mean approaches the pooled mixture mean
     sch = _schedule_with_abar(1e-14)

@@ -239,6 +239,21 @@ def test_sweep_requires_scales(small_denoiser, small_schedule, h_oracle):
         sweep(small_denoiser, small_schedule, cfg, [], 10, seed=0)
 
 
+@pytest.mark.parametrize("scale", [True, "2", None], ids=["bool", "string", "none"])
+def test_sweep_checks_each_scale_as_given(small_denoiser, small_schedule, h_oracle, scale):
+    # float(s) once ran True as scale 1.0 and "2" as 2.0
+    cfg = GuidanceConfig(classifier=h_oracle, target_class=0)
+    with pytest.raises(ValueError, match=rf"^scale must be a real number, got {re.escape(repr(scale))}$"):
+        sweep(small_denoiser, small_schedule, cfg, [0.0, scale], 4, seed=0)
+
+
+def test_sweep_rows_carry_each_scale_as_a_python_float(small_denoiser, small_schedule, h_oracle):
+    # the CSV writer prints a float32 0.1 as the float it is, 0.10000000149011612
+    cfg = GuidanceConfig(classifier=h_oracle, target_class=0)
+    rows = sweep(small_denoiser, small_schedule, cfg, [np.float32(0.1), np.int64(2)], 4, seed=0)
+    assert [(type(s), s) for s, _ in rows] == [(float, float(np.float32(0.1))), (float, 2.0)]
+
+
 def test_sweep_csv_format(tmp_path, small_denoiser, small_schedule, h_oracle):
     cfg = GuidanceConfig(classifier=h_oracle, target_class=0, scale=1.0)
     rows = sweep(small_denoiser, small_schedule, cfg, [0.0, 2.0], 30, seed=2)

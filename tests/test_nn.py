@@ -88,6 +88,32 @@ def test_log_softmax_target_refuses_logits_that_are_not_rows(shape):
         log_softmax_target(np.zeros(shape), 0)
 
 
+def test_log_softmax_target_reads_each_rows_label():
+    logits = np.random.default_rng(4).standard_normal((5, 3)) * 10
+    y = np.array([2, 0, 1, 1, 0])
+    want = log_softmax(logits)[np.arange(5), y]
+    assert log_softmax_target(logits, y).tobytes() == want.tobytes()
+    assert log_softmax_target(logits, 1).tobytes() == log_softmax(logits)[:, 1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        ([0, -1, 1], r"^y -1 outside \[0, 2\)$"),
+        ([0, 2, 1], r"^y 2 outside \[0, 2\)$"),
+        (2, r"^y 2 outside \[0, 2\)$"),
+        ([0.0, 1.0, 1.0], r"^y must be an integer in \[0, 2\), got float64 of shape \(3,\)$"),
+        ([True, False, True], r"^y must be an integer in \[0, 2\), got bool of shape \(3,\)$"),
+        ([0, 1], r"^y of shape \(2,\): expected one value, or 3 values, one per row$"),
+    ],
+    ids=["negative", "too-large", "too-large-scalar", "float", "bool", "wrong-length"],
+)
+def test_log_softmax_target_refuses_labels_outside_the_classes(y, message):
+    # a -1 read the last class; the rest raised numpy's IndexError
+    with pytest.raises(ValueError, match=message):
+        log_softmax_target(np.zeros((3, 2)), y)
+
+
 def test_log_softmax_is_normalized():
     rng = np.random.default_rng(3)
     logits = rng.standard_normal((40, 5)) * 30

@@ -158,6 +158,17 @@ def test_make_spec_validation():
         make_spec([(1.0, [(1.0, [0.0, 0.0], np.array([[1.0, 0.5], [0.2, 1.0]]))])])
 
 
+@pytest.mark.parametrize(
+    "value", [True, np.bool_(False), "1", None, [1.0]], ids=["bool", "numpy-bool", "string", "none", "list"]
+)
+@pytest.mark.parametrize("name", ["class prior", "component weight"])
+def test_make_spec_refuses_a_prior_or_weight_that_is_not_a_number(name, value):
+    # True ran as 1.0; a string or None raised TypeError from <
+    prior, weight = (value, 1.0) if name == "class prior" else (1.0, value)
+    with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        make_spec([(prior, [(weight, [0.0], 1.0)])])
+
+
 def test_benchmark_specs_well_formed():
     for spec in (two_class_benchmark(), three_class_benchmark()):
         assert spec.dim == 2
