@@ -109,6 +109,7 @@ def stabilize(
 
 
 _PATHS = ("raw", "x0pred")
+_JACOBIAN_MODES = ("full", "stop_gradient")
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,8 @@ class GuidanceConfig:
             raise ValueError("scale must be finite and >= 0")
         if self.path not in _PATHS:
             raise ValueError(f"path must be one of {_PATHS}")
-        if self.jacobian_mode not in ("full", "stop_gradient"):
-            raise ValueError("jacobian_mode must be 'full' or 'stop_gradient'")
+        if self.jacobian_mode not in _JACOBIAN_MODES:
+            raise ValueError(f"jacobian_mode must be one of {_JACOBIAN_MODES}")
         if self.objective not in nn._OBJECTIVES:
             raise ValueError(f"objective must be one of {nn._OBJECTIVES}")
         check_index(self.target_class, self.classifier.n_classes, "target_class")

@@ -11,6 +11,7 @@ vary continuously; the output layer is affine.
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,16 +208,16 @@ def input_gradient(model: MlpModel, x, y, objective: str = "log_softmax") -> np.
     return grad[:n]
 
 
-def _parameter_gradients(model: MlpModel, X: np.ndarray, ys: np.ndarray, dWs, dbs) -> float:
+def _parameter_gradients(model: MlpModel, X: np.ndarray, ys: np.ndarray, onehot: np.ndarray, dWs, dbs) -> float:
     """Mean cross-entropy loss over a batch; its parameter gradients are
-    written into dWs and dbs, arrays shaped like the weights and biases."""
+    written into dWs and dbs, arrays shaped like the weights and biases.
+    onehot is the batch's class-major (C, n) one-hot of ys."""
     pre, acts = _forward_cached(model, X, model.biases)
     n = len(X)
-    target = (ys, np.arange(n))
     ls = _log_softmax(acts[-1])
-    loss = -float(np.add.reduce(ls[target]) / n)  # np.mean's sum and divide
+    loss = -float(np.add.reduce(ls[ys, np.arange(n)]) / n)  # np.mean's sum and divide
     delta = np.exp(ls, out=ls)
-    delta[target] -= 1.0
+    delta -= onehot  # x - 0.0 and x - 1.0: the bits of subtracting 1 at the targets
     delta /= n
     delta = np.ascontiguousarray(delta.T)
     for i in range(len(model.weights) - 1, -1, -1):
@@ -289,17 +290,33 @@ def train(
     step = 0
     losses = []
 
+    # each epoch is set up once, into buffers made once per call: its points
+    # and labels in shuffled order, their class-major one-hot and, with a
+    # schedule, their steps and noise, applied in one forward_sample. Steps
+    # and noise are drawn batch by batch, steps first, since one draw per
+    # epoch would reorder the noise stream; batches are slices of these
+    n = len(X)
+    epoch_x, epoch_y, onehot = np.empty_like(X), np.empty_like(ys), np.zeros((model.n_classes, n))
+    if schedule is not None:
+        ts, eps = np.empty(n, dtype=np.int64), np.empty_like(X)
     for _ in range(epochs):
-        order = shuffle_rng.permutation(len(X))
+        order = shuffle_rng.permutation(n)
+        np.take(X, order, axis=0, out=epoch_x)
+        np.take(ys, order, out=epoch_y)
+        onehot.fill(0.0)
+        onehot[epoch_y, np.arange(n)] = 1.0
+        inputs = epoch_x
+        if schedule is not None:
+            for start in range(0, n, batch_size):
+                rows = slice(start, start + batch_size)
+                ts[rows] = noise_rng.integers(0, schedule.T + 1, size=len(ts[rows]))
+                noise_rng.standard_normal(out=eps[rows])
+            inputs = forward_sample(schedule, epoch_x, ts, eps)
         epoch_losses = []
-        for start in range(0, len(X), batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb = X[idx], ys[idx]
-            if schedule is not None:
-                t = noise_rng.integers(0, schedule.T + 1, size=len(idx))
-                xb = forward_sample(schedule, xb, t, noise_rng.standard_normal(xb.shape))
-            loss = _parameter_gradients(current, xb, yb, dWs, dbs)
-            if not np.isfinite(loss):
+        for start in range(0, n, batch_size):
+            rows = slice(start, start + batch_size)
+            loss = _parameter_gradients(current, inputs[rows], epoch_y[rows], onehot[:, rows], dWs, dbs)
+            if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at step {step}; lower the learning rate"
                 )

@@ -9,7 +9,8 @@ a point at a time, single-pair sensitivity ratios and a sensitivity curve
 walked one step at a time, class densities summed component by component,
 the MLP logits and input gradient as a plain forward pass and
 backprop per block with its own log-softmax, a training batch's loss and
-parameter gradients the same way, and classifier accuracy under forward noise.
+parameter gradients the same way, training as a per-batch loop, and
+classifier accuracy under forward noise.
 `guided_gradient` and `jacobian` are thin conveniences over the pipeline's
 own posterior pass and gradient recipe, for tests that need one point at a
 time.
@@ -377,6 +378,51 @@ def mlp_parameter_gradients(model: MlpModel, X: np.ndarray, ys: np.ndarray) -> t
     delta[np.arange(n), ys] -= 1.0
     _, dWs, dbs = _mlp_backprop(model, zs, acts, delta / n)
     return loss, dWs, dbs
+
+
+def train_loop(
+    model: MlpModel,
+    X: np.ndarray,
+    ys: np.ndarray,
+    schedule: Schedule | None,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    seed: int,
+) -> tuple[list, list, list]:
+    """Training written as a per-batch loop: each batch gathers its rows by
+    index, draws its steps and then its noise and noises itself with one
+    forward_sample, takes mlp_parameter_gradients, then one Adam step per
+    array in the pipeline's operation order. Returns the weights, the biases
+    and the mean loss per epoch."""
+    shuffle_rng, noise_rng = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    params = weights + biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    step, losses = 0, []
+    for _ in range(epochs):
+        order = shuffle_rng.permutation(len(X))
+        epoch_losses = []
+        for start in range(0, len(X), batch_size):
+            idx = order[start : start + batch_size]
+            xb, yb = X[idx], ys[idx]
+            if schedule is not None:
+                t = noise_rng.integers(0, schedule.T + 1, size=len(idx))
+                xb = forward_sample(schedule, xb, t, noise_rng.standard_normal(xb.shape))
+            loss, dWs, dbs = mlp_parameter_gradients(MlpModel(tuple(weights), tuple(biases), model.activation), xb, yb)
+            step += 1
+            corr1, corr2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for p, g, mp, vp in zip(params, dWs + dbs, m, v):
+                mp *= 0.9
+                mp += (1.0 - 0.9) * g
+                vp *= 0.999
+                vp += (g * g) * (1.0 - 0.999)
+                p -= ((mp / corr1) * lr) / (np.sqrt(vp / corr2) + 1e-8)
+            epoch_losses.append(loss)
+        losses.append(float(np.mean(epoch_losses)))
+    return weights, biases, losses
 
 
 def accuracy(

@@ -179,7 +179,7 @@ def test_guidance_config_validation(h_oracle):
         GuidanceConfig(classifier=h_oracle, target_class=0, scale=-1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(classifier=h_oracle, target_class=0, path="x1pred")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^jacobian_mode must be one of \('full', 'stop_gradient'\)$"):
         GuidanceConfig(classifier=h_oracle, target_class=0, jacobian_mode="partial")
     with pytest.raises(ValueError):
         GuidanceConfig(classifier=h_oracle, target_class=0, objective="bogus")

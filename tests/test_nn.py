@@ -19,7 +19,7 @@ from diffguide.nn import (
 )
 from diffguide.schedule import schedule_from_betas
 
-from reference import accuracy, mlp_forward, mlp_input_gradient, mlp_parameter_gradients
+from reference import accuracy, mlp_forward, mlp_input_gradient, mlp_parameter_gradients, train_loop
 
 
 def _zero_model(sizes):
@@ -263,11 +263,33 @@ def test_parameter_gradients_equal_plain_reference(batch, n_classes, activation)
     ys = rng.integers(0, n_classes, batch)
     dWs = tuple(np.full_like(w, np.nan) for w in m.weights)
     dbs = tuple(np.full_like(b, np.nan) for b in m.biases)
-    loss = _parameter_gradients(m, X, ys, dWs, dbs)
+    onehot = np.zeros((n_classes, batch))
+    onehot[ys, np.arange(batch)] = 1.0
+    loss = _parameter_gradients(m, X, ys, onehot, dWs, dbs)
     want_loss, want_dWs, want_dbs = mlp_parameter_gradients(m, X, ys)
     assert loss == want_loss
     for got, want in zip(dWs + dbs, want_dWs + want_dbs, strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@pytest.mark.parametrize("noised", [False, True], ids=["clean", "noised"])
+@pytest.mark.parametrize(
+    "batch_size, epochs", [(128, 3), (512, 2), (128, 0)], ids=["last-batch-of-44", "batch-above-set", "zero-epochs"]
+)
+def test_train_equals_per_batch_reference_loop(batch_size, epochs, noised, activation):
+    # an epoch set up at once (one gather, one one-hot, one forward_sample)
+    # keeps every bit of a loop that gathers, draws and noises batch by batch
+    rng = np.random.default_rng(37)
+    X = rng.standard_normal((300, 2)) * 2.0
+    ys = rng.integers(0, 3, 300)
+    m = init_mlp([2, 16, 16, 3], activation, seed=38)
+    sch = schedule_from_betas(np.linspace(1e-3, 0.2, 30)) if noised else None
+    got = train(m, X, ys, schedule=sch, epochs=epochs, batch_size=batch_size, lr=0.01, seed=39)
+    want_ws, want_bs, want_losses = train_loop(m, X, ys, sch, epochs, batch_size, 0.01, 39)
+    assert np.array_equal(got.losses, np.asarray(want_losses)) and len(got.losses) == epochs
+    for a, b in zip(got.model.weights + got.model.biases, want_ws + want_bs, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_train_reaches_high_accuracy(model_nonrobust, train_ds, h_nonrobust):
