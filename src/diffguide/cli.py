@@ -358,7 +358,7 @@ def cmd_train(cfg: dict, chash: str, out: Path, args) -> int:
         )
     path = _checkpoint_path(out, persona)
     nn.save_checkpoint(result.model, path)
-    write_csv(out / f"loss_{persona}.csv", ["epoch", "loss"], enumerate(result.losses.tolist()), chash)
+    write_csv(out / f"loss_{persona}.csv", ["epoch", "loss"], [np.arange(len(result.losses)), result.losses], chash)
     print(f"wrote {path} (final loss {result.losses[-1] if len(result.losses) else float('nan'):.6f})")
     return EXIT_OK
 
@@ -390,8 +390,8 @@ def cmd_sample(cfg: dict, chash: str, out: Path, args) -> int:
     dn, gcfg = _guided_setup(cfg, out)
     batch = gd.sample_batch(dn, dn.schedule, gcfg, cfg["sample"]["n"], _seed(cfg, "sample-chains"))
     header = [f"x{i}" for i in range(dn.dim)] + ["diverged", "seed", "config_hash"]
-    rows = (x + [int(div), cfg["seed"], chash] for x, div in zip(batch.samples.tolist(), batch.diverged.tolist()))
-    write_csv(out / "samples.csv", header, rows)
+    columns = [*batch.samples.T, batch.diverged.astype(np.int64), cfg["seed"], chash]
+    write_csv(out / "samples.csv", header, columns)
     kept = batch.kept()
     if len(kept) == 0:
         print("error: every chain diverged; no metrics to report", file=sys.stderr)
@@ -469,7 +469,9 @@ def cmd_report(out: Path, fmt: str) -> int:
         print(f"wrote {out / 'report.json'}")
     else:
         header = ["setup", *mtr.SWEEP_COLUMNS, "best"]
-        write_csv(out / "report.csv", header, ([r[k] for k in header[:-1]] + [int(r is best)] for r in rows))
+        setups = np.array([r["setup"] for r in rows])
+        table = mtr.sweep_columns([[r[k] for k in mtr.SWEEP_COLUMNS] for r in rows])
+        write_csv(out / "report.csv", header, [setups, *table, np.array([int(r is best) for r in rows])])
         print(f"wrote {out / 'report.csv'}")
     if best:
         print(f"best setup: {best['setup']} at s={best['s']} (cfd={best['cfd']:.4f}, acc={best['acc_oracle']:.4f})")

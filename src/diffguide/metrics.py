@@ -170,9 +170,15 @@ def sweep(
     ]
 
 
+def sweep_columns(table) -> list[np.ndarray]:
+    """table's rows (sequences in SWEEP_COLUMNS order) as one array per
+    column, of that column's type."""
+    return [np.array([row[i] for row in table], dtype=conv) for i, conv in enumerate(SWEEP_COLUMNS.values())]
+
+
 def save_sweep_csv(rows, path, config_hash: str = "") -> None:
-    cells = (
-        [s, r.target_accuracy_oracle, r.target_accuracy_guiding, r.fd, r.cfd, r.n_samples, r.n_diverged]
+    table = [
+        (s, r.target_accuracy_oracle, r.target_accuracy_guiding, r.fd, r.cfd, r.n_samples, r.n_diverged)
         for s, r in rows
-    )
-    write_csv(path, list(SWEEP_COLUMNS), cells, config_hash)
+    ]
+    write_csv(path, list(SWEEP_COLUMNS), sweep_columns(table), config_hash)

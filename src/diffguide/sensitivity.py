@@ -166,6 +166,5 @@ def _walk(recipe: GuidanceConfig, dn: AnalyticDenoiser, metric: str, X0, ys, eps
 
 def save_curve_csv(curve_obj: SensitivityCurve, path, config_hash: str = "") -> None:
     c = curve_obj
-    labels = (c.metric, c.path, c.stabilizer)
-    rows = (row + labels for row in zip(c.t.tolist(), c.mean.tolist(), c.std.tolist(), c.count.tolist()))
-    write_csv(path, ["t", "mean", "std", "count", "metric", "path", "stabilizer"], rows, config_hash)
+    columns = [c.t, c.mean, c.std, c.count, c.metric, c.path, c.stabilizer]
+    write_csv(path, ["t", "mean", "std", "count", "metric", "path", "stabilizer"], columns, config_hash)

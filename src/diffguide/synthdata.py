@@ -307,4 +307,4 @@ class ComponentTables:
 
 def save_dataset_csv(dataset: LabeledDataset, path) -> None:
     header = [f"x{i}" for i in range(dataset.points.shape[1])] + ["label"]
-    write_csv(path, header, (p + [y] for p, y in zip(dataset.points.tolist(), dataset.labels.tolist())))
+    write_csv(path, header, [*dataset.points.T, dataset.labels])

@@ -10,7 +10,8 @@ walked one step at a time, class densities summed component by component,
 the MLP logits and input gradient as a plain forward pass and
 backprop per block with its own log-softmax, a training batch's loss and
 parameter gradients the same way, training as a per-batch loop, and
-classifier accuracy under forward noise.
+classifier accuracy under forward noise, and CSV text written row by row
+through csv.writer.
 `guided_gradient` and `jacobian` are thin conveniences over the pipeline's
 own posterior pass and gradient recipe, for tests that need one point at a
 time.
@@ -475,3 +476,14 @@ def load_dataset_csv(path, seed: int = -1) -> LabeledDataset:
     pts.setflags(write=False)
     labs.setflags(write=False)
     return LabeledDataset(pts, labs, seed)
+
+
+def write_csv_rows(path, header, rows, config_hash: str = "") -> None:
+    """The artifact CSV written row by row: csv.writer with LF line endings,
+    and each float cell as format(v, ".17g")."""
+    with open(path, "w", newline="") as f:
+        if config_hash:
+            f.write(f"# config_hash: {config_hash}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
